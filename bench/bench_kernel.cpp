@@ -2,8 +2,6 @@
 //
 // Measures the pieces the kernel overhaul touched, each on the same clouds:
 //   - insertion order: x-sorted vs BRIO/Hilbert vs unsorted input order
-//   - intra-rank strong scaling: the scatter-order speculate/commit engine
-//     at 1/2/4/8 threads on the same cloud (threads_*_s / speedup_4t)
 //   - cavity-arena reuse: fresh DelaunayMesh per run vs one reused object
 //   - Ruppert refinement (locate hints + filtered predicates on the
 //     circumcenter walk)
@@ -55,27 +53,6 @@ int main() {
     t_input = t.seconds();
     std::printf("  %-12s %8.3f s  (%zu tris, 100k subset)\n", "input", t_input,
                 r.mesh.triangle_count());
-  }
-
-  // Intra-rank strong scaling: the windowed speculate/commit engine on the
-  // same scatter sequence at 1/2/4/8 threads. The T=1 leg runs the identical
-  // windowed algorithm (same hint grid, same commit schedule), so the ratios
-  // isolate the speculation parallelism rather than an algorithm switch.
-  std::printf("\nscatter engine strong scaling (%zu points):\n", cloud.size());
-  double t_threads[4];
-  {
-    const int thread_cases[4] = {1, 2, 4, 8};
-    for (int i = 0; i < 4; ++i) {
-      Timer t;
-      const TriangulateResult r =
-          triangulate_points(cloud, InsertionOrder::kScatter, thread_cases[i]);
-      t_threads[i] = t.seconds();
-      std::printf("  %d thread%s %8.3f s  (%zu tris)\n", thread_cases[i],
-                  thread_cases[i] == 1 ? " " : "s", t_threads[i],
-                  r.mesh.triangle_count());
-    }
-    std::printf("  4-thread speedup over 1: %.2fx\n",
-                t_threads[0] / t_threads[2]);
   }
 
   // Arena reuse: repeated medium clouds through one DelaunayMesh vs a fresh
@@ -155,11 +132,6 @@ int main() {
       {"xsorted_s", t_xsorted},
       {"brio_s", t_brio},
       {"input_order_s", t_input},
-      {"threads_1_s", t_threads[0]},
-      {"threads_2_s", t_threads[1]},
-      {"threads_4_s", t_threads[2]},
-      {"threads_8_s", t_threads[3]},
-      {"speedup_4t", t_threads[0] / t_threads[2]},
       {"arena_fresh_s", t_fresh},
       {"arena_reused_s", t_reused},
       {"refine_s", t_refine},

@@ -86,19 +86,11 @@ struct Options {
   // -- Parallel runtime ---------------------------------------------------
   /// Rank count of the in-process pool; 0 = run the sequential pipeline.
   int ranks = 0;
-  /// Intra-rank threads for each subdomain refinement (1 = sequential
-  /// kernel). Performance-only: the mesh is bit-identical at every value
-  /// (see RefineOptions::threads), so — like the transport knobs below —
-  /// this never participates in mesh-defining hashes or cache keys.
+  /// Threads for the initial bad-triangle scan of each subdomain
+  /// refinement (RefineOptions::threads; 1 = sequential). Performance-only:
+  /// the mesh is bit-identical at every value, so — like the timeouts
+  /// below — this never participates in mesh-defining hashes or cache keys.
   int threads_per_rank = 1;
-  /// Zero-copy RMA-window transport for large pool payloads (off = the
-  /// full-copy frame path, kept for differential testing).
-  bool rma = true;
-  /// Payloads at or above this many bytes move through the RMA window.
-  std::size_t rma_threshold = 1024;
-  /// Coalesce small pool control messages, flushing lanes after this many
-  /// microseconds (0 = coalescing off).
-  long coalesce_us = 0;
   /// Unacknowledged pool work transfers are retransmitted after this long.
   long ack_timeout_ms = 25;
   /// A rank whose heartbeat stalls this long is declared dead and its
@@ -182,12 +174,6 @@ struct Options {
   }
   Options& set_ranks(int n) { ranks = n; return *this; }
   Options& set_threads_per_rank(int n) { threads_per_rank = n; return *this; }
-  Options& set_rma(bool on) { rma = on; return *this; }
-  Options& set_rma_threshold(std::size_t bytes) {
-    rma_threshold = bytes;
-    return *this;
-  }
-  Options& set_coalesce_us(long us) { coalesce_us = us; return *this; }
   Options& set_ack_timeout_ms(long ms) { ack_timeout_ms = ms; return *this; }
   Options& set_heartbeat_timeout_ms(long ms) {
     heartbeat_timeout_ms = ms;

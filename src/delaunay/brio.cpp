@@ -82,42 +82,4 @@ std::vector<std::uint32_t> brio_order(const std::vector<Vec2>& pts) {
   return perm;
 }
 
-std::vector<std::uint32_t> brio_scatter_order(const std::vector<Vec2>& pts) {
-  const std::size_t n = pts.size();
-  std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  if (n < 2) return perm;
-
-  // Same round ladder as brio_order (the rounds are what keep the committed
-  // mesh uniformly dense at every stage); the within-round key is a second,
-  // independent splitmix64 stream, i.e. a deterministic shuffle.
-  int nrounds = 1;
-  while ((n >> (nrounds + 5)) > 0 && nrounds < 24) ++nrounds;
-
-  struct Key {
-    std::uint8_t round;
-    std::uint64_t shuffle;
-  };
-  std::vector<Key> keys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int heads =
-        std::countr_one(splitmix64(static_cast<std::uint64_t>(i)));
-    const int round = std::max(0, nrounds - 1 - heads);
-    keys[i] = {static_cast<std::uint8_t>(round),
-               splitmix64(static_cast<std::uint64_t>(i) ^
-                          0xc2b2ae3d27d4eb4full)};
-  }
-  std::sort(perm.begin(), perm.end(),
-            [&keys](std::uint32_t a, std::uint32_t b) {
-              if (keys[a].round != keys[b].round) {
-                return keys[a].round < keys[b].round;
-              }
-              if (keys[a].shuffle != keys[b].shuffle) {
-                return keys[a].shuffle < keys[b].shuffle;
-              }
-              return a < b;  // deterministic tiebreak
-            });
-  return perm;
-}
-
 }  // namespace aero

@@ -22,8 +22,8 @@ namespace aero {
 /// The index arithmetic is two shifts and a load; the chunk-pointer table is
 /// small enough to stay cached (one entry per 2^kChunkPow elements). This
 /// extends the PR 5 cavity-arena discipline (grow, clear, never free) to the
-/// mesh arrays themselves. Not thread-safe; the mesh's phase protocol
-/// (parallel_insert.hpp) already guarantees writers are exclusive.
+/// mesh arrays themselves. Not thread-safe; the mesh has one writer at a
+/// time (the refiner's threaded scan only reads).
 template <typename T, unsigned kChunkPow = 14>
 class ChunkedArray {
  public:

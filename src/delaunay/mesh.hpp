@@ -195,11 +195,6 @@ class DelaunayMesh {
 
  private:
   friend class RuppertRefiner;
-  /// The intra-rank parallel construction engine (parallel_insert.hpp):
-  /// phase A reads the mesh from worker threads while it is frozen, phase B
-  /// replays speculated cavities through the same mutations
-  /// insert_into_cavity performs. See that header for the phase protocol.
-  friend class ParallelInserter;
 
   // Flag byte layout (tri_flags_): three per-edge constraint bits aligned
   // with tri_n_, the carve region bit, and the tombstone bit.
@@ -284,14 +279,13 @@ class DelaunayMesh {
   ChunkedArray<TriIndex> vert_tri_;
   std::size_t live_finite_ = 0;
   std::size_t input_point_count_ = 0;
-  /// Walk-hint cache. Shared-state discipline under the parallel engine:
-  /// only the committing (main) thread reads or writes it; speculating
-  /// workers carry their own hints (parallel_insert.hpp).
+  /// Walk-hint cache. Shared-state discipline under the refiner's threaded
+  /// initial scan (RefineOptions::threads): the scan workers only read
+  /// triangles, so only the inserting (main) thread reads or writes it.
   mutable TriIndex last_tri_ AERO_SHARED_STATE("main thread only") = kNoTri;
   /// Stochastic-walk PRNG state (see next_rand in mesh.cpp). Per-mesh so a
-  /// triangulation's result never depends on process history; under the
-  /// parallel engine it is consumed only by main-thread commits (workers
-  /// seed a local generator per point).
+  /// triangulation's result never depends on process history; like the walk
+  /// hint it is consumed only by the inserting (main) thread.
   mutable std::uint32_t rand_state_
       AERO_SHARED_STATE("main thread only") = 0x9d2c5680u;
 

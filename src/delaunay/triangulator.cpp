@@ -5,19 +5,9 @@
 #include <stdexcept>
 
 #include "delaunay/brio.hpp"
-#include "delaunay/parallel_insert.hpp"
 #include "obs/trace.hpp"
 
 namespace aero {
-
-namespace {
-
-/// Below this, the windowed engine's bootstrap would swallow most of the
-/// cloud anyway; plain sequential insertion wins.
-constexpr std::size_t kParallelMinPoints =
-    4 * ParallelInserter::kBootstrapPoints;
-
-}  // namespace
 
 TriangulateResult triangulate(const Pslg& pslg,
                               const TriangulateOptions& opts) {
@@ -29,20 +19,11 @@ TriangulateResult triangulate(const Pslg& pslg,
   // exactly the optimization the paper applies after its decompositions.
   // kBrio instead uses the randomized-round + Hilbert-curve order of
   // delaunay/brio.hpp — better locate locality on large unsorted clouds.
-  // A thread request on the default order upgrades it to the scatter order,
-  // the only one whose windows parallelize without constant conflicts.
-  InsertionOrder order =
+  const InsertionOrder order =
       opts.assume_sorted ? InsertionOrder::kInput : opts.order;
-  const int threads = std::max(1, opts.threads);
-  if (threads > 1 && order == InsertionOrder::kXSorted &&
-      pslg.points.size() >= kParallelMinPoints) {
-    order = InsertionOrder::kScatter;
-  }
   std::vector<std::uint32_t> perm;
   if (order == InsertionOrder::kBrio) {
     perm = brio_order(pslg.points);
-  } else if (order == InsertionOrder::kScatter) {
-    perm = brio_scatter_order(pslg.points);
   } else {
     perm.resize(pslg.points.size());
     std::iota(perm.begin(), perm.end(), 0u);
@@ -59,20 +40,7 @@ TriangulateResult triangulate(const Pslg& pslg,
   }
 
   std::vector<VertIndex> ids_by_position;
-  bool built;
-  if (order == InsertionOrder::kScatter &&
-      ordered.size() >= kParallelMinPoints) {
-    // The windowed speculate/commit engine. Engaged for the scatter order at
-    // *every* thread count: consecutive scatter points have no walk
-    // locality, so even the sequential path needs the engine's committed-
-    // vertex hint grid — and the T=1 baseline the scaling bench compares
-    // against then runs the identical algorithm.
-    ParallelInserter engine(out.mesh, threads);
-    built = engine.run(ordered, &ids_by_position);
-  } else {
-    built = out.mesh.triangulate(ordered, &ids_by_position);
-  }
-  if (!built) {
+  if (!out.mesh.triangulate(ordered, &ids_by_position)) {
     throw std::invalid_argument(
         "triangulate: input has fewer than 3 non-collinear points");
   }
@@ -117,18 +85,6 @@ TriangulateResult triangulate_points(const std::vector<Vec2>& points,
   opts.constrained = false;
   opts.carve = false;
   opts.order = order;
-  return triangulate(pslg, opts);
-}
-
-TriangulateResult triangulate_points(const std::vector<Vec2>& points,
-                                     InsertionOrder order, int threads) {
-  Pslg pslg;
-  pslg.points = points;
-  TriangulateOptions opts;
-  opts.constrained = false;
-  opts.carve = false;
-  opts.order = order;
-  opts.threads = threads;
   return triangulate(pslg, opts);
 }
 

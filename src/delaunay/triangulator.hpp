@@ -25,15 +25,6 @@ enum class InsertionOrder {
   /// Insert in the caller's order (the caller vouches for locality; this is
   /// what `assume_sorted` selects).
   kInput,
-  /// BRIO rounds with a deterministic within-round shuffle instead of the
-  /// Hilbert sort (delaunay/brio.hpp, brio_scatter_order). This is the
-  /// parallel kernel's order: consecutive points are spatially unrelated, so
-  /// a speculation window spreads over the whole domain and same-window
-  /// cavity conflicts are rare. Construction runs through the windowed
-  /// engine (parallel_insert.hpp) whenever this order is selected and the
-  /// cloud is large enough -- at every thread count, including 1, so the
-  /// single-thread baseline pays the same machinery it is compared against.
-  kScatter,
 };
 
 /// Options mirroring the Triangle switches the paper relies on.
@@ -52,16 +43,6 @@ struct TriangulateOptions {
   /// `order` with kInput). This is the fast path the paper unlocks by
   /// maintaining x-sorted vertex arrays through every decomposition step.
   bool assume_sorted = false;
-  /// Threads for the intra-rank parallel construction kernel (1 =
-  /// sequential). With the default kXSorted order and a large enough cloud,
-  /// threads > 1 upgrades the order to kScatter and runs the deterministic
-  /// speculate/commit engine of parallel_insert.hpp; the resulting mesh is
-  /// identical for every thread count (same insertion sequence, conflicts
-  /// resolved by sequence index). Explicit kBrio/kInput/assume_sorted orders
-  /// are honored sequentially (their windows would be spatially clustered
-  /// and conflict constantly). Refinement passes the knob through
-  /// RefineOptions::threads separately.
-  int threads = 1;
 };
 
 /// Result bundle of a triangulation run.
@@ -86,11 +67,5 @@ TriangulateResult triangulate_points(const std::vector<Vec2>& points,
 /// kBrio against kXSorted on the same cloud).
 TriangulateResult triangulate_points(const std::vector<Vec2>& points,
                                      InsertionOrder order);
-
-/// Convenience: plain Delaunay triangulation with an explicit order and
-/// thread count (the strong-scaling entry point of bench_kernel and the
-/// parallel-vs-sequential bit-identity tests).
-TriangulateResult triangulate_points(const std::vector<Vec2>& points,
-                                     InsertionOrder order, int threads);
 
 }  // namespace aero

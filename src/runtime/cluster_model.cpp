@@ -13,84 +13,42 @@ namespace aero {
 
 namespace {
 
-/// Measured processing of one BL unit, mirroring the pool's process_unit.
-std::size_t instrument_bl(Subdomain sub, const DecomposeOptions& opts,
-                          TaskGraph& graph, MergedMesh* mesh) {
+/// Expand `unit` and its descendants depth-first through the pool's
+/// split/mesh rules (expand_unit), timing one expand_unit call per node.
+/// Leaf triangles go to `mesh` when it is non-null (the interface
+/// extraction needs the assembled boundary layer).
+std::size_t instrument(const WorkUnit& unit, const GradedSizing& sizing,
+                       const Options& opts, TaskGraph& graph,
+                       MergedMesh* mesh) {
   const std::size_t id = graph.nodes.size();
   graph.nodes.emplace_back();
-  {
-    WorkUnit probe{WorkUnit::Kind::kBlDecompose, sub, {}};
-    graph.nodes[id].bytes = serialize(probe).size();
-    graph.nodes[id].cost_estimate = sub.cost();
-  }
+  graph.nodes[id].bytes = serialized_size(unit);
+  graph.nodes[id].cost_estimate = unit.cost(sizing);
 
-  Timer timer;
-  if (sufficiently_decomposed(sub, opts)) {
-    sub.finalize();
-    const auto owned = triangulate_subdomain_dc(sub);
-    graph.nodes[id].seconds = timer.seconds();
-    graph.nodes[id].label = "bl-leaf";
-    if (mesh) {
-      for (const auto& tri : owned) mesh->add_triangle(tri[0], tri[1], tri[2]);
-    }
-    return id;
-  }
-  graph.nodes[id].label = "bl-split";
-  const std::size_t parent_size = sub.size();
-  auto [l, r] = split_subdomain(std::move(sub));
+  std::vector<WorkUnit> children;
+  std::vector<std::array<Vec2, 3>> triangles;
+  const Timer timer;
+  expand_unit(unit, sizing, bl_decompose_options(opts),
+              opts.inviscid_target_triangles, opts.inviscid_max_level,
+              /*refine_threads=*/1, children, triangles);
   graph.nodes[id].seconds = timer.seconds();
-  if (l.size() >= parent_size || r.size() >= parent_size) {
-    Subdomain whole = l.size() >= parent_size ? std::move(l) : std::move(r);
-    whole.level -= 1;
-    whole.cuts.pop_back();
-    whole.finalize();
-    Timer t2;
-    const auto owned = triangulate_subdomain_dc(whole);
-    graph.nodes[id].seconds += t2.seconds();
-    if (mesh) {
-      for (const auto& tri : owned) mesh->add_triangle(tri[0], tri[1], tri[2]);
-    }
-    return id;
-  }
-  const std::size_t cl = instrument_bl(std::move(l), opts, graph, mesh);
-  const std::size_t cr = instrument_bl(std::move(r), opts, graph, mesh);
-  graph.nodes[id].children = {cl, cr};
-  return id;
-}
-
-std::size_t instrument_inviscid(InviscidSubdomain sub,
-                                const GradedSizing& sizing,
-                                double target, int max_level,
-                                TaskGraph& graph, MergedMesh* mesh) {
-  const std::size_t id = graph.nodes.size();
-  graph.nodes.emplace_back();
-  {
-    WorkUnit probe{WorkUnit::Kind::kInviscidDecouple, {}, sub};
-    graph.nodes[id].bytes = serialize(probe).size();
-  }
-  graph.nodes[id].cost_estimate = sub.estimated_triangles(sizing);
-
-  Timer timer;
-  const bool leaf = !sub.hole_segments.empty() || sub.level >= max_level ||
-                    graph.nodes[id].cost_estimate <= target;
-  std::vector<InviscidSubdomain> children;
-  if (!leaf) children = plus_split(sub, sizing);
-  if (leaf || children.empty()) {
-    const TriangulateResult r = refine_subdomain(sub, sizing);
-    graph.nodes[id].seconds = timer.seconds();
+  if (unit.kind == WorkUnit::Kind::kBlDecompose) {
+    graph.nodes[id].label = children.empty() ? "bl-leaf" : "bl-split";
+  } else if (!children.empty()) {
+    graph.nodes[id].label = "inviscid-split";
+  } else {
     graph.nodes[id].label =
-        sub.hole_segments.empty() ? "inviscid-leaf" : "near-body";
-    if (mesh) mesh->append(r.mesh);
-    return id;
+        unit.inv.hole_segments.empty() ? "inviscid-leaf" : "near-body";
   }
-  graph.nodes[id].seconds = timer.seconds();
-  graph.nodes[id].label = "inviscid-split";
-  for (auto& c : children) {
+  if (mesh != nullptr) {
+    for (const auto& tri : triangles) {
+      mesh->add_triangle(tri[0], tri[1], tri[2]);
+    }
+  }
+  for (const WorkUnit& c : children) {
     // The recursive call may reallocate graph.nodes: take the child id
     // first, then re-access the node.
-    const std::size_t child = instrument_inviscid(std::move(c), sizing,
-                                                  target, max_level, graph,
-                                                  mesh);
+    const std::size_t child = instrument(c, sizing, opts, graph, mesh);
     graph.nodes[id].children.push_back(child);
   }
   return id;
@@ -106,10 +64,14 @@ TaskGraph build_task_graph(const Options& opts) {
   graph.serial_before.push_back(0.0);
   graph.distributable_before.push_back(serial0.seconds());
 
+  // Boundary-layer units never read the sizing.
   MergedMesh mesh;
+  GradedSizing placeholder;
   std::vector<std::size_t> phase0;
-  phase0.push_back(instrument_bl(make_root_subdomain(bl.points),
-                                 bl_decompose_options(opts), graph, &mesh));
+  phase0.push_back(instrument(
+      WorkUnit{WorkUnit::Kind::kBlDecompose, make_root_subdomain(bl.points),
+               {}},
+      placeholder, opts, graph, &mesh));
   graph.phases.push_back(std::move(phase0));
 
   // Serial inter-phase work: ring restriction + interface extraction.
@@ -119,16 +81,18 @@ TaskGraph build_task_graph(const Options& opts) {
   graph.serial_before.push_back(0.0);
   graph.distributable_before.push_back(serial1.seconds());
 
-  std::vector<std::size_t> phase1;
+  std::vector<WorkUnit> roots;
   for (InviscidSubdomain& quad : initial_quadrants(domain)) {
-    phase1.push_back(instrument_inviscid(
-        std::move(quad), domain.sizing, opts.inviscid_target_triangles,
-        opts.inviscid_max_level, graph, nullptr));
+    roots.push_back(
+        WorkUnit{WorkUnit::Kind::kInviscidDecouple, {}, std::move(quad)});
   }
-  phase1.push_back(instrument_inviscid(
-      near_body_subdomain(domain), domain.sizing,
-      opts.inviscid_target_triangles, opts.inviscid_max_level, graph,
-      nullptr));
+  roots.push_back(WorkUnit{WorkUnit::Kind::kInviscidDecouple,
+                           {},
+                           near_body_subdomain(domain)});
+  std::vector<std::size_t> phase1;
+  for (const WorkUnit& root : roots) {
+    phase1.push_back(instrument(root, domain.sizing, opts, graph, nullptr));
+  }
   graph.phases.push_back(std::move(phase1));
   return graph;
 }

@@ -5,7 +5,6 @@
 
 #include "core/timer.hpp"
 #include "obs/trace.hpp"
-#include "runtime/rma.hpp"
 
 namespace aero {
 
@@ -95,38 +94,9 @@ std::size_t FaultInjector::kill_mesher_after(int rank) const {
   return 0;
 }
 
-/// One (src, dst) coalescing lane: small messages staged in send order.
-struct Communicator::Lane {
-  std::vector<StagedMessage> q;
-  std::size_t bytes = 0;
-  std::chrono::steady_clock::time_point oldest;
-};
-
-/// Per-sender staging area. Keyed by sender so the owning thread's poll loop
-/// is the flush driver; the lock covers the rare case of two threads sending
-/// from one rank (the monitor acking on the exited root's behalf).
-struct Communicator::Sender {
-  // Every flush path drains the lane under this lock, drops it, and only
-  // then posts into the destination mailbox; the declared edge records the
-  // one direction a future nesting would be allowed to take.
-  Mutex m AERO_LOCK_NAME("comm.sender", 40) AERO_ACQUIRED_BEFORE("comm.mailbox");
-  std::vector<Lane> lanes AERO_GUARDED_BY(m);  ///< indexed by destination
-};
-
-Communicator::~Communicator() = default;
-
 Communicator::Communicator(int nranks)
     : boxes_(static_cast<std::size_t>(nranks)) {
   if (nranks < 1) throw std::invalid_argument("need at least one rank");
-  senders_.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    auto s = std::make_unique<Sender>();
-    {
-      MutexLock lock(s->m);
-      s->lanes.resize(static_cast<std::size_t>(nranks));
-    }
-    senders_.push_back(std::move(s));
-  }
 }
 
 void Communicator::promote_due(Mailbox& box,
@@ -144,22 +114,10 @@ void Communicator::promote_due(Mailbox& box,
 }
 
 std::optional<Message> Communicator::pop_ready(Mailbox& box) {
-  while (!box.q.empty()) {
-    Message msg = std::move(box.q.front());
-    box.q.pop_front();
-    if (msg.tag != kTagBatch) return msg;
-    std::vector<Message> parts;
-    if (decode_batch(msg.payload, msg.from, parts)) {
-      for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-        box.q.push_front(std::move(*it));
-      }
-    } else {
-      // A corrupted batch is dropped wholesale; each constituent's own
-      // ack/retransmit machinery recovers whatever mattered.
-      batch_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return std::nullopt;
+  if (box.q.empty()) return std::nullopt;
+  Message msg = std::move(box.q.front());
+  box.q.pop_front();
+  return msg;
 }
 
 void Communicator::deliver(int to, Message msg,
@@ -176,7 +134,8 @@ void Communicator::deliver(int to, Message msg,
   box.cv.notify_one();
 }
 
-void Communicator::post(int from, int to, int tag, ByteBuf payload) {
+void Communicator::send(int from, int to, int tag, ByteBuf payload) {
+  AERO_TRACE_SPAN("comm", "send");
   messages_.fetch_add(1, std::memory_order_relaxed);
   payload_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
   Message msg{tag, from, std::move(payload)};
@@ -200,93 +159,6 @@ void Communicator::post(int from, int to, int tag, ByteBuf payload) {
     return;
   }
   deliver(to, std::move(msg), std::chrono::microseconds{0});
-}
-
-void Communicator::send(int from, int to, int tag, ByteBuf payload) {
-  AERO_TRACE_SPAN("comm", "send");
-  if (coalescing_enabled() && from >= 0 && from < size()) {
-    Sender& s = *senders_[static_cast<std::size_t>(from)];
-    if (tag != kTagShutdown && tag != kTagBatch &&
-        payload.size() <= copts_.small_threshold) {
-      std::vector<StagedMessage> ready;
-      {
-        MutexLock lock(s.m);
-        Lane& lane = s.lanes[static_cast<std::size_t>(to)];
-        if (lane.q.empty()) lane.oldest = mono_now();
-        lane.bytes += payload.size();
-        lane.q.push_back(StagedMessage{tag, std::move(payload)});
-        if (lane.q.size() >= copts_.max_messages ||
-            lane.bytes >= copts_.max_bytes) {
-          ready.swap(lane.q);
-          lane.bytes = 0;
-        }
-      }
-      ship(from, to, std::move(ready));
-      return;
-    }
-    // Large or non-coalescable send: drain this destination's staged small
-    // messages first so per-(src, dst) FIFO order is preserved.
-    flush_lane(from, to);
-  }
-  post(from, to, tag, std::move(payload));
-}
-
-void Communicator::ship(int from, int to, std::vector<StagedMessage> parts) {
-  if (parts.empty()) return;
-  if (parts.size() == 1) {
-    post(from, to, parts[0].tag, std::move(parts[0].payload));
-    return;
-  }
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  coalesced_.fetch_add(parts.size(), std::memory_order_relaxed);
-  AERO_TRACE_INSTANT_ARG("comm", "coalesced_batch", parts.size());
-  post(from, to, kTagBatch, encode_batch(parts));
-}
-
-void Communicator::flush_lane(int from, int to) {
-  Sender& s = *senders_[static_cast<std::size_t>(from)];
-  std::vector<StagedMessage> ready;
-  {
-    MutexLock lock(s.m);
-    Lane& lane = s.lanes[static_cast<std::size_t>(to)];
-    if (lane.q.empty()) return;
-    ready.swap(lane.q);
-    lane.bytes = 0;
-  }
-  ship(from, to, std::move(ready));
-}
-
-void Communicator::maybe_flush(int from) {
-  if (!coalescing_enabled() || from < 0 || from >= size()) return;
-  Sender& s = *senders_[static_cast<std::size_t>(from)];
-  const auto now = mono_now();
-  for (int to = 0; to < size(); ++to) {
-    std::vector<StagedMessage> ready;
-    {
-      MutexLock lock(s.m);
-      Lane& lane = s.lanes[static_cast<std::size_t>(to)];
-      if (lane.q.empty() || now - lane.oldest < copts_.flush_delay) continue;
-      ready.swap(lane.q);
-      lane.bytes = 0;
-    }
-    ship(from, to, std::move(ready));
-  }
-}
-
-void Communicator::flush(int from) {
-  if (!coalescing_enabled() || from < 0 || from >= size()) return;
-  Sender& s = *senders_[static_cast<std::size_t>(from)];
-  for (int to = 0; to < size(); ++to) {
-    std::vector<StagedMessage> ready;
-    {
-      MutexLock lock(s.m);
-      Lane& lane = s.lanes[static_cast<std::size_t>(to)];
-      if (lane.q.empty()) continue;
-      ready.swap(lane.q);
-      lane.bytes = 0;
-    }
-    ship(from, to, std::move(ready));
-  }
 }
 
 Message Communicator::recv(int rank) {
@@ -322,9 +194,6 @@ CommStats Communicator::stats() const {
   CommStats s;
   s.messages = messages_.load(std::memory_order_relaxed);
   s.payload_bytes = payload_bytes_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.batch_rejects = batch_rejects_.load(std::memory_order_relaxed);
   return s;
 }
 

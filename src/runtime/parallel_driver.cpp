@@ -89,6 +89,7 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   pool_opts.stop = resilience.stop_flag;
   pool_opts.checkpoint = sink.is_open() ? &sink : nullptr;
   pool_opts.resume = resume_active ? &resume : nullptr;
+  pool_opts.spill_dir = opts.merge_spill_dir;
   pool_opts.merge_resident_bytes =
       static_cast<std::size_t>(opts.merge_resident_mb) << 20;
 
@@ -118,9 +119,6 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   GradedSizing placeholder;
   {
     AERO_TRACE_SPAN("pipeline", "boundary_layer_pool");
-    if (!opts.merge_spill_dir.empty()) {
-      pool_opts.spill_path = opts.merge_spill_dir + "/bl.spill";
-    }
     std::vector<WorkUnit> initial;
     initial.push_back(WorkUnit{WorkUnit::Kind::kBlDecompose,
                                make_root_subdomain(result.boundary_layer.points),
@@ -162,9 +160,6 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   Timer t4;
   {
     AERO_TRACE_SPAN("pipeline", "inviscid_pool");
-    if (!opts.merge_spill_dir.empty()) {
-      pool_opts.spill_path = opts.merge_spill_dir + "/inviscid.spill";
-    }
     std::vector<WorkUnit> initial;
     for (InviscidSubdomain& quad : initial_quadrants(domain)) {
       initial.push_back(
@@ -211,9 +206,6 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts,
   faults.corrupt_rate = opts.fault_rate / 2.0;
   faults.delay_rate = opts.fault_rate / 2.0;
   PoolTuning tuning;
-  tuning.rma = opts.rma;
-  tuning.rma_threshold = opts.rma_threshold;
-  tuning.coalesce_delay = std::chrono::microseconds(opts.coalesce_us);
   tuning.ack_timeout = std::chrono::milliseconds(opts.ack_timeout_ms);
   tuning.heartbeat_timeout =
       std::chrono::milliseconds(opts.heartbeat_timeout_ms);
@@ -262,8 +254,6 @@ void publish_pool_metrics(const PoolStats& stats, const std::string& prefix) {
   count("comm_bytes", stats.comm_bytes);
   count("zero_copy_hits", stats.zero_copy_hits);
   count("window_bytes", stats.window_bytes);
-  count("coalesced_messages", stats.coalesced_messages);
-  count("batch_rejects", stats.batch_rejects);
   count("buffer_pool_hits", stats.buffer_pool_hits);
   count("buffer_pool_misses", stats.buffer_pool_misses);
   std::size_t units = 0;
@@ -289,7 +279,6 @@ void publish_pool_metrics(const PoolStats& stats, const std::string& prefix) {
   reg.counter("comm.bytes").add(stats.comm_bytes);
   reg.counter("comm.msgs").add(stats.comm_messages);
   reg.counter("comm.zero_copy_hits").add(stats.zero_copy_hits);
-  reg.counter("pool.coalesced").add(stats.coalesced_messages);
 }
 
 std::vector<obs::RankLoad> rank_loads(const ParallelMeshResult& result) {

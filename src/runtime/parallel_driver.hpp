@@ -74,14 +74,14 @@ struct ParallelMeshResult {
 /// the fault-*tolerance* machinery (CRC framing, acked transfers, watchdog)
 /// is always on. A non-null `trace` records both pool passes' protocol
 /// events for audit_protocol(); `opts.phase_hook` fires at the same phase
-/// boundaries as in the sequential pipeline. `tuning` selects the transport
-/// (RMA windows vs full-copy frames, small-message coalescing) and the
-/// fault-tolerance timeouts for both pool passes. `resilience` wires
+/// boundaries as in the sequential pipeline. `tuning` sets the
+/// fault-tolerance timeouts and the refiner's scan threads for both pool
+/// passes. `resilience` wires
 /// checkpointing, resume, budgets, and the external stop flag; a run
 /// stopped mid-boundary-layer returns the raw partial BL mesh (no ring
 /// restriction, no inviscid pass) -- valid, conformal, and resumable.
 /// This fine-grained overload does NOT validate and ignores the fault /
-/// transport / resilience knobs on `opts` in favor of the explicit structs
+/// timeout / resilience knobs on `opts` in favor of the explicit structs
 /// (chaos fixtures need rates the flat knobs cannot express); `nranks`
 /// overrides `opts.ranks`.
 ParallelMeshResult parallel_generate_mesh(
@@ -90,7 +90,7 @@ ParallelMeshResult parallel_generate_mesh(
     const PoolTuning& tuning = {}, const ResilienceOptions& resilience = {});
 
 /// The unified-Options entry point: validates (throwing std::invalid_argument
-/// on errors, including ranks < 1), derives the fault/transport structs from
+/// on errors, including ranks < 1), derives the fault/tuning structs from
 /// the flat knobs (drop at `fault_rate`, duplication/corruption/delay at half
 /// of it — the CLI's historical chaos mix), and runs the pool.
 ParallelMeshResult parallel_generate_mesh(const Options& opts,

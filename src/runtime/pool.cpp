@@ -1,7 +1,10 @@
 #include "runtime/pool.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -123,12 +126,13 @@ struct SharedState {
   std::map<int, std::vector<std::array<Vec2, 3>>> results
       AERO_GUARDED_BY(results_m);
 
-  /// Out-of-core finalization (see PoolOptions::spill_path). `spilling` is
-  /// decided once before any worker thread starts; the writer serializes its
-  /// own appends. Blocks whose spill write failed fall back to this resident
+  /// Out-of-core finalization (see PoolOptions::spill_dir). `spilling` and
+  /// `spill_path` are decided once before any worker thread starts; the
+  /// writer serializes its own appends. Blocks whose spill write failed fall back to this resident
   /// overflow map, keyed identically to their would-be spill records, so the
   /// merge walks one global key order regardless of where a block ended up.
   bool spilling = false;
+  std::string spill_path;
   JournalWriter spill;
   std::atomic<std::uint64_t> spill_seq AERO_ATOMIC_ROLE(counter){0};
   std::atomic<std::size_t> spill_records AERO_ATOMIC_ROLE(counter){0};
@@ -157,9 +161,6 @@ struct SharedState {
       payload_windows.emplace_back(&buffers);
     }
     comm.set_fault_injector(&injector);
-    CoalesceOptions co;
-    co.flush_delay = o.tuning.coalesce_delay;
-    comm.set_coalescing(co);
   }
 };
 
@@ -214,71 +215,71 @@ void spill_block(SharedState& shared, std::uint64_t key,
   shared.spill_overflow.emplace(key, std::move(tris));
 }
 
-/// Deserialize the unit carried by an inline transfer frame we built
-/// ourselves (the in-flight master copy; intact by construction).
-WorkUnit unit_from_inline_frame(const ByteBuf& frame) {
-  return deserialize_work(frame.data() + kInlineFrameHeader,
-                          frame.size() - kInlineFrameHeader);
-}
-
-/// A transfer sent but not yet acknowledged. On the copy path `payload` is
-/// the full framed master copy (the fabric may corrupt the transmitted
-/// copy); on the window path it is only the 37-byte control frame -- the
-/// payload master lives in this rank's PayloadWindow slot until the ack
-/// releases it or a dead destination lets us reclaim it.
+/// A transfer sent but not yet acknowledged. `frame` is the 37-byte control
+/// frame (resent on retransmission); the payload master lives in this rank's
+/// PayloadWindow `slot` until the ack releases it or a dead destination lets
+/// us reclaim it.
 struct InFlight {
   int dest = -1;
   int tag = 0;
-  ByteBuf payload;
+  ByteBuf frame;
   std::chrono::steady_clock::time_point deadline;
   int tries = 0;
-  bool windowed = false;
   std::uint32_t slot = 0;
 };
 
-/// Frame and dispatch one unit to `dest` under a fresh nonce, choosing the
-/// transport by serialized size: at or above the RMA threshold the payload
-/// is published into this rank's window (zero-copy handoff; the mailbox
-/// carries a control frame), below it the whole frame rides the mailbox as
-/// before. Frames and in-flight bookkeeping are recorded identically so the
-/// ack/retransmit/dead-dest machinery is path-agnostic.
+/// One published dispatch: the control frame kept for retransmission and
+/// the window slot its payload sits in.
+struct Published {
+  std::uint64_t nonce = 0;
+  std::uint32_t slot = 0;
+  ByteBuf frame;
+};
+
+/// Publish a serialized payload into `rank`'s window under a fresh nonce and
+/// mail the control frame to `dest`.
+Published publish_and_send(SharedState& shared, int rank, int dest, int tag,
+                           std::vector<std::uint8_t> bytes) {
+  Published p;
+  p.nonce = shared.next_transfer_seq.fetch_add(1);
+  const std::uint64_t len = bytes.size();
+  const std::uint64_t digest = payload_digest(bytes.data(), bytes.size());
+  p.slot = shared.payload_windows[static_cast<std::size_t>(rank)].publish(
+      p.nonce, std::move(bytes));
+  trace_event(shared, ProtocolEvent::Kind::kWindowPublished, p.nonce, rank,
+              dest);
+  trace_event(shared, ProtocolEvent::Kind::kDispatch, p.nonce, rank, dest);
+  p.frame = make_window_frame(p.nonce, rank, p.slot, len, digest);
+  ByteBuf copy = p.frame;
+  shared.comm.send(rank, dest, tag, std::move(copy));
+  return p;
+}
+
+/// Take the payload a control frame names out of its sender's window
+/// (verified against the frame's length and digest); nullopt when the frame
+/// names no live slot or does not match it, in which case the slot stays
+/// intact for the sender's retransmission.
+std::optional<std::vector<std::uint8_t>> take_payload(SharedState& shared,
+                                                      const ParsedFrame& f) {
+  if (f.src < 0 || f.src >= shared.comm.size()) return std::nullopt;
+  return shared.payload_windows[static_cast<std::size_t>(f.src)].take(
+      f.slot, f.nonce, f.length, f.digest);
+}
+
+/// Dispatch one unit to `dest`: its serialized payload is published into
+/// this rank's window and the mailbox carries the control frame. The
+/// in-flight record drives ack release, retransmission and dead-dest
+/// recovery.
 void send_unit(SharedState& shared, int rank, int dest, int tag,
                const WorkUnit& unit,
                std::map<std::uint64_t, InFlight>& in_flight) {
-  const PoolOptions& opts = *shared.opts;
-  const std::size_t payload_size = serialized_size(unit);
-  const bool windowed = opts.tuning.rma &&
-                        payload_size >= opts.tuning.rma_threshold;
-  const std::uint64_t nonce = shared.next_transfer_seq.fetch_add(1);
-  shared.transfer_bytes.fetch_add(payload_size);
-  if (windowed) {
-    AERO_TRACE_SPAN("rma", "publish");
-    auto bytes = serialize(unit, &shared.buffers);
-    const std::uint64_t len = bytes.size();
-    const std::uint64_t digest = payload_digest(bytes.data(), bytes.size());
-    const std::uint32_t slot =
-        shared.payload_windows[static_cast<std::size_t>(rank)].publish(
-            nonce, std::move(bytes));
-    trace_event(shared, ProtocolEvent::Kind::kWindowPublished, nonce, rank,
-                dest);
-    trace_event(shared, ProtocolEvent::Kind::kDispatch, nonce, rank, dest);
-    ByteBuf frame = make_window_frame(nonce, rank, slot, len, digest);
-    ByteBuf copy = frame;
-    in_flight[nonce] = InFlight{dest, tag, std::move(frame),
-                                mono_now() + opts.tuning.ack_timeout, 0, true,
-                                slot};
-    shared.comm.send(rank, dest, tag, std::move(copy));
-  } else {
-    auto bytes = serialize(unit, &shared.buffers, kInlineFrameHeader);
-    seal_inline_frame(nonce, bytes);
-    trace_event(shared, ProtocolEvent::Kind::kDispatch, nonce, rank, dest);
-    ByteBuf frame(std::move(bytes));
-    ByteBuf copy = frame;
-    in_flight[nonce] = InFlight{dest, tag, std::move(frame),
-                                mono_now() + opts.tuning.ack_timeout, 0, false,
-                                0};
-    shared.comm.send(rank, dest, tag, std::move(copy));
-  }
+  AERO_TRACE_SPAN("rma", "publish");
+  shared.transfer_bytes.fetch_add(serialized_size(unit));
+  Published p = publish_and_send(shared, rank, dest, tag,
+                                 serialize(unit, &shared.buffers));
+  in_flight[p.nonce] =
+      InFlight{dest, tag, std::move(p.frame),
+               mono_now() + shared.opts->tuning.ack_timeout, 0, p.slot};
 }
 
 void push_local(SharedState& shared, RankState& rs, WorkUnit unit) {
@@ -302,58 +303,14 @@ void complete_unit(SharedState& shared) {
   }
 }
 
-/// Expand one unit: either split it (emitting child units) or mesh it
-/// (emitting inside triangles). Pure with respect to `unit`, so a throwing
-/// attempt can be retried from the unchanged input; nothing is committed to
-/// shared state here.
-void expand_unit(const GradedSizing& sizing, const PoolOptions& opts,
-                 const WorkUnit& unit, std::vector<WorkUnit>& children,
-                 std::vector<std::array<Vec2, 3>>& triangles) {
-  if (unit.kind == WorkUnit::Kind::kBlDecompose) {
-    const std::size_t parent_size = unit.bl.size();
-    if (sufficiently_decomposed(unit.bl, opts.bl_decompose)) {
-      Subdomain s = unit.bl;
-      s.finalize();
-      triangles = triangulate_subdomain_dc(s);
-    } else {
-      Subdomain parent = unit.bl;
-      auto [l, r] = split_subdomain(std::move(parent));
-      if (l.size() >= parent_size || r.size() >= parent_size) {
-        Subdomain whole = l.size() >= parent_size ? std::move(l) : std::move(r);
-        whole.level -= 1;
-        whole.cuts.pop_back();
-        whole.finalize();
-        triangles = triangulate_subdomain_dc(whole);
-      } else {
-        children.push_back(
-            WorkUnit{WorkUnit::Kind::kBlDecompose, std::move(l), {}});
-        children.push_back(
-            WorkUnit{WorkUnit::Kind::kBlDecompose, std::move(r), {}});
-      }
-    }
-  } else {
-    const bool leaf =
-        !unit.inv.hole_segments.empty() ||
-        unit.inv.level >= opts.inviscid_max_level ||
-        unit.inv.estimated_triangles(sizing) <= opts.inviscid_target_triangles;
-    std::vector<InviscidSubdomain> kids;
-    if (!leaf) kids = plus_split(unit.inv, sizing);
-    if (leaf || kids.empty()) {
-      const TriangulateResult r =
-          refine_subdomain(unit.inv, sizing, opts.tuning.threads_per_rank);
-      r.mesh.for_each_triangle([&](TriIndex t) {
-        const MeshTri& mt = r.mesh.tri(t);
-        if (!mt.inside) return;
-        triangles.push_back({r.mesh.point(mt.v[0]), r.mesh.point(mt.v[1]),
-                             r.mesh.point(mt.v[2])});
-      });
-    } else {
-      for (auto& c : kids) {
-        children.push_back(
-            WorkUnit{WorkUnit::Kind::kInviscidDecouple, {}, std::move(c)});
-      }
-    }
-  }
+/// Expand one unit through the shared split/mesh rules (work.hpp) with this
+/// pool's decomposition values.
+void expand(const GradedSizing& sizing, const PoolOptions& opts,
+            const WorkUnit& unit, std::vector<WorkUnit>& children,
+            std::vector<std::array<Vec2, 3>>& triangles) {
+  expand_unit(unit, sizing, opts.bl_decompose, opts.inviscid_target_triangles,
+              opts.inviscid_max_level, opts.tuning.threads_per_rank, children,
+              triangles);
 }
 
 /// First rank (other than `self`) that has not already failed this unit and
@@ -419,7 +376,7 @@ void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
       if (shared.injector.unit_should_fail(unit.id)) {
         throw std::runtime_error("injected unit fault");
       }
-      expand_unit(*shared.sizing, opts, unit, children, triangles);
+      expand(*shared.sizing, opts, unit, children, triangles);
       ok = true;
       break;
     } catch (...) {
@@ -535,8 +492,8 @@ void mesher_main(SharedState& shared, std::vector<RankState>& ranks,
 /// Accept one gathered result at the root (first copy wins; every copy is
 /// acked so a resending rank can stop). Each rank sends exactly one result
 /// under one nonce, so the rank-keyed results map doubles as the nonce
-/// dedupe -- and for window frames the dedupe is consulted BEFORE the take,
-/// so a resend racing the ack never consumes a second slot.
+/// dedupe -- and the dedupe is consulted BEFORE the take, so a resend racing
+/// the ack never consumes a second slot.
 void root_accept_result(SharedState& shared, const Message& msg) {
   const auto parsed = parse_frame(msg.payload);
   if (!parsed) {
@@ -550,41 +507,24 @@ void root_accept_result(SharedState& shared, const Message& msg) {
     fresh = shared.results.find(from) == shared.results.end();
   }
   if (fresh) {
-    std::vector<std::array<Vec2, 3>> tris;
-    std::size_t logical_bytes = 0;
-    if (parsed->windowed) {
-      if (parsed->src < 0 || parsed->src >= shared.comm.size()) {
-        shared.crc_failures.fetch_add(1);
-        return;
-      }
-      auto bytes =
-          shared.payload_windows[static_cast<std::size_t>(parsed->src)].take(
-              parsed->slot, parsed->nonce, parsed->length, parsed->digest);
-      if (!bytes) {
-        shared.crc_failures.fetch_add(1);
-        return;  // frame/slot mismatch; sender resends
-      }
-      trace_event(shared, ProtocolEvent::Kind::kWindowTaken, parsed->nonce, 0,
-                  from);
-      try {
-        tris = deserialize_triangles(bytes->data(), bytes->size());
-      } catch (const std::exception&) {
-        shared.crc_failures.fetch_add(1);
-        return;
-      }
-      shared.zero_copy.fetch_add(1);
-      shared.window_bytes.fetch_add(bytes->size());
-      logical_bytes = bytes->size();
-      shared.buffers.release(std::move(*bytes));
-    } else {
-      try {
-        tris = deserialize_triangles(parsed->data, parsed->size);
-      } catch (const std::exception&) {
-        shared.crc_failures.fetch_add(1);
-        return;  // sender retransmits an intact copy
-      }
-      logical_bytes = parsed->size;
+    auto bytes = take_payload(shared, *parsed);
+    if (!bytes) {
+      shared.crc_failures.fetch_add(1);
+      return;  // frame/slot mismatch; sender resends
     }
+    trace_event(shared, ProtocolEvent::Kind::kWindowTaken, parsed->nonce, 0,
+                from);
+    std::vector<std::array<Vec2, 3>> tris;
+    try {
+      tris = deserialize_triangles(bytes->data(), bytes->size());
+    } catch (const std::exception&) {
+      shared.crc_failures.fetch_add(1);
+      return;
+    }
+    shared.zero_copy.fetch_add(1);
+    shared.window_bytes.fetch_add(bytes->size());
+    const std::size_t logical_bytes = bytes->size();
+    shared.buffers.release(std::move(*bytes));
     bool accepted = false;
     {
       MutexLock lock(shared.results_m);
@@ -651,7 +591,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   while (!shut && !shared.abort.load()) {
     if (rs.crashed.load()) return;  // injected crash: vanish silently
     shared.window.beat(static_cast<std::size_t>(rank));
-    shared.comm.maybe_flush(rank);
     if (auto msg = shared.comm.try_recv(rank)) {
       AERO_TRACE_SPAN("pool", "handle_message");
       const Timer handling;
@@ -696,41 +635,24 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
           const bool fresh = seen_frames.count(parsed->nonce) == 0;
           WorkUnit unit;
           if (fresh) {
-            if (parsed->windowed) {
-              AERO_TRACE_SPAN("rma", "take");
-              if (parsed->src < 0 || parsed->src >= shared.comm.size()) {
-                shared.crc_failures.fetch_add(1);
-                break;
-              }
-              auto bytes =
-                  shared.payload_windows[static_cast<std::size_t>(parsed->src)]
-                      .take(parsed->slot, parsed->nonce, parsed->length,
-                            parsed->digest);
-              if (!bytes) {
-                shared.crc_failures.fetch_add(1);
-                AERO_TRACE_INSTANT("pool", "window_reject");
-                break;  // slot intact; sender resends the control frame
-              }
-              trace_event(shared, ProtocolEvent::Kind::kWindowTaken,
-                          parsed->nonce, rank, parsed->src);
-              try {
-                unit = deserialize_work(bytes->data(), bytes->size());
-              } catch (const std::exception&) {
-                shared.crc_failures.fetch_add(1);
-                break;  // can't happen off the wire; payload never framed
-              }
-              shared.zero_copy.fetch_add(1);
-              shared.window_bytes.fetch_add(bytes->size());
-              shared.buffers.release(std::move(*bytes));
-            } else {
-              try {
-                unit = deserialize_work(parsed->data, parsed->size);
-              } catch (const std::exception&) {
-                shared.crc_failures.fetch_add(1);
-                AERO_TRACE_INSTANT("pool", "crc_reject");
-                break;  // sender retransmits an intact copy
-              }
+            AERO_TRACE_SPAN("rma", "take");
+            auto bytes = take_payload(shared, *parsed);
+            if (!bytes) {
+              shared.crc_failures.fetch_add(1);
+              AERO_TRACE_INSTANT("pool", "window_reject");
+              break;  // slot intact; sender resends the control frame
             }
+            trace_event(shared, ProtocolEvent::Kind::kWindowTaken,
+                        parsed->nonce, rank, parsed->src);
+            try {
+              unit = deserialize_work(bytes->data(), bytes->size());
+            } catch (const std::exception&) {
+              shared.crc_failures.fetch_add(1);
+              break;  // can't happen off the wire; payload never framed
+            }
+            shared.zero_copy.fetch_add(1);
+            shared.window_bytes.fetch_add(bytes->size());
+            shared.buffers.release(std::move(*bytes));
             seen_frames.insert(parsed->nonce);
           }
           // Record the accept/duplicate verdict BEFORE the ack leaves: the
@@ -753,13 +675,11 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
           if (const auto id = parse_ack(msg->payload)) {
             auto it = in_flight.find(*id);
             if (it != in_flight.end()) {
-              if (it->second.windowed) {
-                // Ack on an untaken slot means the receiver accepted a
-                // duplicate nonce without consuming; either way the slot is
-                // finished -- drop it (recycling untaken bytes).
-                shared.payload_windows[static_cast<std::size_t>(rank)].release(
-                    it->second.slot, *id);
-              }
+              // Ack on an untaken slot means the receiver accepted a
+              // duplicate nonce without consuming; either way the slot is
+              // finished -- drop it (recycling untaken bytes).
+              shared.payload_windows[static_cast<std::size_t>(rank)].release(
+                  it->second.slot, *id);
               in_flight.erase(it);
               trace_event(shared, ProtocolEvent::Kind::kAckMatched, *id, rank,
                           msg->from);
@@ -797,10 +717,9 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
           dead_dest.emplace_back(it->first, std::move(f));
           it = in_flight.erase(it);
         } else {
-          // Retransmission needs a master copy: the frame must survive in
-          // in_flight until acked. Window payloads only ever resend the
-          // 37-byte control frame, so this never deep-copies mesh bytes.
-          auto copy = f.payload;  // aerolint: allow(payload-copy)
+          // Retransmission resends the 37-byte control frame; the payload
+          // stays in our window, so this never deep-copies mesh bytes.
+          auto copy = f.frame;
           shared.comm.send(rank, f.dest, f.tag, std::move(copy));
           shared.retransmits.fetch_add(1);
           ++rs.retransmits_sent;
@@ -811,22 +730,17 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
         }
       }
       for (auto& [nonce, f] : dead_dest) {
+        // The payload master sits in our window. Reclaim returns the bytes
+        // only if the dest never took them; a taken slot means the dest
+        // queued the unit before dying, and the watchdog's queue reclamation
+        // owns it now -- re-dispatching here would double-process the unit.
         std::optional<WorkUnit> unit;
-        if (f.windowed) {
-          // The payload master sits in our window. Reclaim returns the
-          // bytes only if the dest never took them; a taken slot means the
-          // dest queued the unit before dying, and the watchdog's queue
-          // reclamation owns it now -- re-dispatching here would
-          // double-process the unit.
-          auto bytes =
-              shared.payload_windows[static_cast<std::size_t>(rank)].reclaim(
-                  f.slot, nonce);
-          if (bytes) {
-            unit = deserialize_work(bytes->data(), bytes->size());
-            shared.buffers.release(std::move(*bytes));
-          }
-        } else {
-          unit = unit_from_inline_frame(f.payload);  // own bytes, intact
+        auto bytes =
+            shared.payload_windows[static_cast<std::size_t>(rank)].reclaim(
+                f.slot, nonce);
+        if (bytes) {
+          unit = deserialize_work(bytes->data(), bytes->size());
+          shared.buffers.release(std::move(*bytes));
         }
         if (!unit) {
           trace_event(shared, ProtocolEvent::Kind::kAbandoned, nonce, rank,
@@ -896,17 +810,14 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
 
   // Shutdown phase. Any in-flight residue is ack loss on completed work:
   // termination implies every unit completed, so nothing is retransmitted.
-  // Windowed residue was therefore taken; release is a harmless erase (and
-  // recycles the bytes in the ack-lost-before-take corner).
+  // The residue's slots were therefore taken; release is a harmless erase
+  // (and recycles the bytes in the ack-lost-before-take corner).
   for (const auto& [nonce, f] : in_flight) {
-    if (f.windowed) {
-      shared.payload_windows[static_cast<std::size_t>(rank)].release(f.slot,
-                                                                     nonce);
-    }
+    shared.payload_windows[static_cast<std::size_t>(rank)].release(f.slot,
+                                                                   nonce);
     trace_event(shared, ProtocolEvent::Kind::kAbandoned, nonce, rank, f.dest);
   }
   in_flight.clear();
-  shared.comm.flush(rank);  // staged acks must not outlive the poll loop
   {
     MutexLock lock(rs.m);
     rs.shutdown = true;
@@ -940,7 +851,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
         }
       }
       if (complete) break;
-      shared.comm.maybe_flush(0);
       if (auto msg = shared.comm.try_recv(0)) {
         if (msg->tag == kTagResult) root_accept_result(shared, *msg);
         continue;
@@ -955,38 +865,14 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   } else {
     // Reliable result send: resend until the root acks ("the points are
     // gathered at the root process"), bounded by the retransmit cap. The
-    // result rides the same two-path transport as work transfers: above the
-    // RMA threshold the soup is published into this rank's window and only
+    // soup is published into this rank's window like a work transfer; only
     // the control frame is (re)sent.
     AERO_TRACE_SPAN("pool", "send_results");
     constexpr int kMaxResultTries = 64;
-    const std::uint64_t nonce = shared.next_transfer_seq.fetch_add(1);
-    const std::size_t logical = serialized_triangles_size(rs.triangles.size());
-    const bool windowed =
-        opts.tuning.rma && logical >= opts.tuning.rma_threshold;
-    ByteBuf frame;
-    std::uint32_t slot = 0;
-    if (windowed) {
-      AERO_TRACE_SPAN("rma", "publish_result");
-      auto bytes = serialize_triangles(rs.triangles, &shared.buffers);
-      const std::uint64_t len = bytes.size();
-      const std::uint64_t digest = payload_digest(bytes.data(), bytes.size());
-      slot = shared.payload_windows[static_cast<std::size_t>(rank)].publish(
-          nonce, std::move(bytes));
-      trace_event(shared, ProtocolEvent::Kind::kWindowPublished, nonce, rank,
-                  0);
-      frame = make_window_frame(nonce, rank, slot, len, digest);
-    } else {
-      auto bytes =
-          serialize_triangles(rs.triangles, &shared.buffers, kInlineFrameHeader);
-      seal_inline_frame(nonce, bytes);
-      frame = ByteBuf(std::move(bytes));
-    }
-    trace_event(shared, ProtocolEvent::Kind::kDispatch, nonce, rank, 0);
-    {
-      ByteBuf first = frame;
-      shared.comm.send(rank, 0, kTagResult, std::move(first));
-    }
+    const Published sent =
+        publish_and_send(shared, rank, 0, kTagResult,
+                         serialize_triangles(rs.triangles, &shared.buffers));
+    const std::uint64_t nonce = sent.nonce;
     auto deadline = mono_now() + opts.tuning.ack_timeout;
     int tries = 0;
     bool acked = false;
@@ -1002,7 +888,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
       const auto now = mono_now();
       if (now >= deadline) {
         if (++tries > kMaxResultTries) break;
-        auto again = frame;
+        auto again = sent.frame;
         shared.comm.send(rank, 0, kTagResult, std::move(again));
         shared.retransmits.fetch_add(1);
         ++rs.retransmits_sent;
@@ -1013,10 +899,8 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
     }
     if (acked) {
       trace_event(shared, ProtocolEvent::Kind::kAckMatched, nonce, rank, 0);
-      if (windowed) {
-        shared.payload_windows[static_cast<std::size_t>(rank)].release(slot,
-                                                                       nonce);
-      }
+      shared.payload_windows[static_cast<std::size_t>(rank)].release(
+          sent.slot, nonce);
     } else {
       // Gave up (abort or retry cap). The slot is deliberately NOT released:
       // a frame already in flight (injector delay) may still reach the root
@@ -1024,7 +908,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
       trace_event(shared, ProtocolEvent::Kind::kAbandoned, nonce, rank, 0);
     }
   }
-  shared.comm.flush(rank);
   shared.comm_exited[static_cast<std::size_t>(rank)].store(true);
 }
 
@@ -1130,7 +1013,6 @@ void monitor_main(SharedState& shared, std::vector<RankState>& ranks) {
       while (auto msg = shared.comm.try_recv(0)) {
         if (msg->tag == kTagResult) root_accept_result(shared, *msg);
       }
-      shared.comm.flush(0);  // push out any acks staged on rank 0's behalf
     }
 
     // Heartbeat scan (rank 0 is the root and is never declared dead).
@@ -1172,6 +1054,31 @@ void monitor_main(SharedState& shared, std::vector<RankState>& ranks) {
   }
 }
 
+/// Spill journals claimed by this process so far; with the process id it
+/// makes every pool pass's spill name unique.
+std::atomic<std::uint64_t> g_spill_passes AERO_ATOMIC_ROLE(counter){0};
+
+/// Claim a spill journal of this pool pass's own in `dir`. The name carries
+/// the process id and a process-wide pass counter, so concurrent runs in
+/// other processes and other pools of this one pick different names, and
+/// the exclusive create makes the claim atomic even against a stale file
+/// left by a crashed process with a recycled id. "" when no file could be
+/// created; the pass then merges in RAM.
+std::string claim_spill_path(const std::string& dir) {
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    const std::string path =
+        dir + "/aeromesh-" + std::to_string(::getpid()) + "-" +
+        std::to_string(g_spill_passes.fetch_add(1)) + ".spill";
+    if (std::FILE* f = std::fopen(path.c_str(), "wbx")) {
+      if (std::fclose(f) == 0) return path;
+      std::remove(path.c_str());
+      return "";
+    }
+    if (errno != EEXIST) return "";
+  }
+  return "";
+}
+
 /// Out-of-core finalization: seal the spill journal, index it with the
 /// bounded-memory scanner, and replay every block into `out` in global key
 /// order, loading at most `merge_resident_bytes` of payload at a time (one
@@ -1187,7 +1094,7 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
   }
   shared.spill.close();
 
-  JournalIndex index = scan_journal_index(opts.spill_path, 0);
+  JournalIndex index = scan_journal_index(shared.spill_path, 0);
   std::sort(index.frames.begin(), index.frames.end(),
             [](const JournalFrame& a, const JournalFrame& b) {
               return a.key < b.key;
@@ -1215,7 +1122,7 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
   };
 
   JournalReader reader;
-  const bool reader_ok = reader.open(opts.spill_path);
+  const bool reader_ok = reader.open(shared.spill_path);
   const std::size_t budget =
       opts.merge_resident_bytes > 0 ? opts.merge_resident_bytes : 1;
   std::size_t fi = 0;
@@ -1274,9 +1181,9 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
     }
   }
   reader.close();
-  // The spill is single-run scratch; remove it once merged. Failure to
-  // remove is harmless (the next run truncates it on open).
-  std::remove(opts.spill_path.c_str());
+  // The spill is single-pass scratch; remove it once merged. A failed
+  // remove leaves a file no later pass will ever claim again.
+  std::remove(shared.spill_path.c_str());
 }
 
 }  // namespace
@@ -1298,10 +1205,15 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   SharedState shared(opts);
   shared.sizing = &sizing;
   shared.opts = &opts;
-  if (!opts.spill_path.empty()) {
-    // Hash 0: the spill is a single-run scratch file, created and consumed
-    // here; an unopenable spill degrades to the in-RAM merge.
-    shared.spilling = shared.spill.open(opts.spill_path, 0, /*append=*/false);
+  if (!opts.spill_dir.empty()) {
+    // Hash 0: the spill is a single-pass scratch file, created and consumed
+    // here; an unclaimable or unopenable spill degrades to the in-RAM merge.
+    shared.spill_path = claim_spill_path(opts.spill_dir);
+    if (!shared.spill_path.empty()) {
+      shared.spilling =
+          shared.spill.open(shared.spill_path, 0, /*append=*/false);
+      if (!shared.spilling) std::remove(shared.spill_path.c_str());
+    }
   }
   shared.deadline = mono_now() + opts.tuning.watchdog_timeout;
   shared.outstanding.store(static_cast<long>(initial.size()),
@@ -1379,7 +1291,7 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
     std::vector<WorkUnit> children;
     std::vector<std::array<Vec2, 3>> triangles;
     try {
-      expand_unit(sizing, opts, unit, children, triangles);
+      expand(sizing, opts, unit, children, triangles);
     } catch (...) {
       ++lost_units;  // genuinely unmeshable, not an injected fault
       trace_event(shared, ProtocolEvent::Kind::kUnitLost, unit.id, 0);
@@ -1476,8 +1388,6 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
     const CommStats cs = shared.comm.stats();
     stats.comm_messages = cs.messages;
     stats.comm_bytes = cs.payload_bytes;
-    stats.coalesced_messages = cs.coalesced;
-    stats.batch_rejects = cs.batch_rejects;
   }
   stats.zero_copy_hits = shared.zero_copy.load(std::memory_order_relaxed);
   stats.window_bytes = shared.window_bytes.load(std::memory_order_relaxed);

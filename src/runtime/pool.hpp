@@ -15,21 +15,11 @@ namespace aero {
 class CheckpointSink;
 class ResumeState;
 
-/// Transport and robustness tuning shared by the pool, drivers, and CLI:
-/// the RMA-vs-copy A/B switch, the small-message coalescing bound, and the
-/// fault-tolerance timeouts. Kept as its own struct so callers (benches,
-/// tests, aeromesh flags) can thread it through parallel_generate_mesh
-/// without restating every pool option.
+/// Robustness tuning shared by the pool, drivers, and CLI: the
+/// fault-tolerance timeouts and the refiner's scan threads. Kept as its own
+/// struct so callers (benches, tests, aeromesh flags) can thread it through
+/// parallel_generate_mesh without restating every pool option.
 struct PoolTuning {
-  /// Zero-copy transfers: payloads at or above `rma_threshold` bytes are
-  /// published into the sender's PayloadWindow and move by ownership
-  /// handoff; the mailbox carries a 37-byte control frame. Off = the PR 1
-  /// deep-copy path (kept for differential testing; results must be
-  /// bit-identical either way).
-  bool rma = true;
-  std::size_t rma_threshold = 1024;
-  /// Bounded flush delay for small-control-message coalescing (0 = off).
-  std::chrono::microseconds coalesce_delay{0};
   /// Unacknowledged work transfers are retransmitted after this long.
   std::chrono::milliseconds ack_timeout{25};
   /// A rank whose heartbeat stalls this long is declared dead: its queued
@@ -99,7 +89,7 @@ struct PoolOptions {
   /// default; recording takes one short lock per protocol event.
   ProtocolTrace* trace = nullptr;
 
-  /// Transport switches and robustness timeouts (see PoolTuning).
+  /// Robustness timeouts and refiner threads (see PoolTuning).
   PoolTuning tuning;
 
   // -- Run-level resilience ------------------------------------------------
@@ -119,11 +109,15 @@ struct PoolOptions {
   // -- Out-of-core finalization --------------------------------------------
   /// When non-empty, the root streams every finalized triangle block (its
   /// own leaves, resume replays, gathered rank soups, fallback output) into
-  /// this CRC-framed spill journal instead of holding them resident, then
-  /// merges window-by-window under `merge_resident_bytes`. The merged mesh
-  /// is bit-identical to the in-RAM path; a spill write failure degrades
-  /// that block back to resident, never the run. "" = in-RAM merge.
-  std::string spill_path;
+  /// a CRC-framed spill journal instead of holding them resident, then
+  /// merges window-by-window under `merge_resident_bytes` and deletes the
+  /// journal. Each pool pass creates its own journal in this directory
+  /// exclusively (named after the process id and a process-wide pass
+  /// counter), so runs sharing the directory never touch each other's
+  /// files. The merged mesh is bit-identical to the in-RAM path; a spill
+  /// write failure degrades that block back to resident, never the run.
+  /// "" = in-RAM merge.
+  std::string spill_dir;
   /// Resident-payload budget of the windowed spill merge, in bytes. At
   /// least one record is always loaded per window, so the merge progresses
   /// even when a single block exceeds the budget.
@@ -140,14 +134,14 @@ struct PoolStats {
   double wall_seconds = 0.0;
 
   // Transport accounting. transfer_bytes/result_bytes above count *logical*
-  // serialized payload (identical across the RMA and copy paths, so A/B
-  // comparisons line up); the fields below count what actually moved where.
+  // serialized payload at dispatch and accept; the fields below count what
+  // actually moved where. Payloads move only through the payload windows,
+  // so in a fault-free run window_bytes equals transfer_bytes +
+  // result_bytes and the mailboxes carry nothing but control frames.
   std::size_t comm_messages = 0;  ///< messages posted into mailboxes
-  std::size_t comm_bytes = 0;     ///< payload bytes copied through mailboxes
+  std::size_t comm_bytes = 0;     ///< control bytes copied through mailboxes
   std::size_t zero_copy_hits = 0; ///< payloads that moved by window handoff
   std::size_t window_bytes = 0;   ///< payload bytes moved zero-copy
-  std::size_t coalesced_messages = 0;  ///< small messages that rode a batch
-  std::size_t batch_rejects = 0;  ///< corrupted batches dropped at unpack
   std::size_t buffer_pool_hits = 0;    ///< serialization buffers recycled
   std::size_t buffer_pool_misses = 0;  ///< fresh buffer allocations
 
@@ -181,7 +175,7 @@ struct PoolStats {
   std::size_t injected_mesher_kills = 0; ///< mesher threads killed by it
   StopCause stop_cause = StopCause::kNone;  ///< why a kStopped run drained
 
-  // Out-of-core finalization accounting (zero unless spill_path was set).
+  // Out-of-core finalization accounting (zero unless spill_dir was set).
   std::size_t spill_records = 0;  ///< triangle blocks streamed to the spill
   std::size_t spill_bytes = 0;    ///< payload bytes written to the spill
   std::size_t spill_write_failures = 0;  ///< blocks degraded to resident

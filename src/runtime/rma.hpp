@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -9,66 +10,48 @@
 #include "obs/annotations.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/bytes.hpp"
-#include "runtime/comm.hpp"
 
 namespace aero {
 
 // ---------------------------------------------------------------------------
 // Transfer frames.
 //
-// Every work-unit transfer and result gather is framed under a fresh
-// per-dispatch nonce; acks and receiver-side deduplication key on the nonce,
-// NOT the unit id (retransmissions and fabric-duplicated copies of one
+// Every work-unit transfer, fault re-queue and result gather is framed under
+// a fresh per-dispatch nonce; acks and receiver-side deduplication key on the
+// nonce, NOT the unit id (retransmissions and fabric-duplicated copies of one
 // dispatch share its nonce and are dropped, while a unit that legitimately
 // returns to a rank it visited before arrives under a fresh nonce and is
-// accepted). Two frame kinds share the wire, distinguished by the leading
-// byte and both protected by a header CRC so a corrupted kind or nonce
-// cannot masquerade as a different dispatch:
+// accepted). The payload itself sits in the sender's PayloadWindow and moves
+// to the receiver by ownership handoff (the in-process equivalent of MPI_Get
+// against a registered window); the mailbox carries only a 37-byte control
+// frame, protected by a header CRC so a corrupted nonce or slot cannot
+// masquerade as a different dispatch:
 //
-//   inline (copy path):  [kind=0][nonce:8][hcrc:4][unit bytes...]
-//   window (RMA path):   [kind=1][nonce:8][src:4][slot:4][len:8][digest:8]
-//                        [hcrc:4]
+//   [kind=1][nonce:8][src:4][slot:4][len:8][digest:8][hcrc:4]
 //
-// The inline frame carries the full serialized payload through the mailbox.
-// The window frame is a 37-byte control message: the payload itself sits in
-// the sender's PayloadWindow and moves to the receiver by ownership handoff
-// (the in-process equivalent of MPI_Get against a registered window). The
-// digest is a sampled fingerprint of the published bytes -- the window is
+// The digest is a sampled fingerprint of the published bytes -- the window is
 // outside the fault injector's reach, but a handoff that pairs a control
 // frame with the wrong slot contents must still be detected.
 // ---------------------------------------------------------------------------
 
-constexpr std::size_t kInlineFrameHeader = 13;
 constexpr std::size_t kWindowFrameSize = 37;
 
-/// Decoded view of either frame kind. For inline frames `data/size` alias
-/// the message payload (valid while the message lives); window frames carry
-/// the handoff coordinates instead.
+/// Decoded control frame: where to take the payload from, and what it
+/// should be.
 struct ParsedFrame {
   std::uint64_t nonce = 0;
-  bool windowed = false;
-  // Inline frames: the serialized unit bytes (CRC trailer included).
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-  // Window frames: where to take the payload from, and what it should be.
   int src = -1;
   std::uint32_t slot = 0;
   std::uint64_t length = 0;
   std::uint64_t digest = 0;
 };
 
-/// Stamp the inline-frame header into `framed[0..13)`. `framed` must have
-/// been produced by serialize(..., kInlineFrameHeader) so the serialized
-/// payload already sits after the reserved header room -- sealing is a
-/// 13-byte write, never a payload copy.
-void seal_inline_frame(std::uint64_t nonce, std::vector<std::uint8_t>& framed);
-
 /// Build the 37-byte control frame for a window transfer (fits ByteBuf
 /// inline storage; the mailbox never heap-allocates for it).
 ByteBuf make_window_frame(std::uint64_t nonce, int src, std::uint32_t slot,
                           std::uint64_t length, std::uint64_t digest);
 
-/// Validate and decode a transfer frame; nullopt on truncation or header
+/// Validate and decode a control frame; nullopt on truncation or header
 /// corruption (the sender retransmits an intact copy).
 std::optional<ParsedFrame> parse_frame(const ByteBuf& payload);
 
@@ -82,25 +65,6 @@ std::optional<std::uint64_t> parse_ack(const ByteBuf& b);
 /// bytes folded through splitmix64. Cheap enough for every handoff; strong
 /// enough that a frame paired with the wrong or stale slot contents fails.
 std::uint64_t payload_digest(const std::uint8_t* data, std::size_t n);
-
-// ---------------------------------------------------------------------------
-// Small-message coalescing batches.
-//
-//   [count:4] ([tag:4][len:4][bytes...])* [crc:4]
-//
-// The whole batch is one fabric message (one injector draw, one mailbox
-// hop); a corrupted batch is dropped wholesale at unpack and the individual
-// senders' ack/retransmit machinery recovers whatever mattered.
-// ---------------------------------------------------------------------------
-
-ByteBuf encode_batch(const std::vector<StagedMessage>& parts);
-
-/// Unpack a batch payload into messages stamped with `from`; false (and no
-/// output) when the batch CRC or structure is invalid.
-bool decode_batch(const ByteBuf& payload, int from,
-                  std::vector<Message>& out);
-
-// ---------------------------------------------------------------------------
 
 /// Per-rank registered payload window: the zero-copy half of a transfer.
 /// The donor publishes the serialized payload under the dispatch nonce and

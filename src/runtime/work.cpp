@@ -10,15 +10,11 @@ namespace {
 
 class Writer {
  public:
-  /// `capacity` sizes the (optionally pooled) buffer exactly; `header_room`
-  /// zero bytes are reserved at the front and excluded from the CRC, to be
-  /// stamped by the transport (seal_inline_frame) without a payload copy.
-  Writer(std::size_t capacity, BufferPool* pool, std::size_t header_room)
+  /// `capacity` sizes the (optionally pooled) buffer exactly.
+  Writer(std::size_t capacity, BufferPool* pool)
       : bytes_(pool != nullptr ? pool->acquire(capacity)
-                               : std::vector<std::uint8_t>()),
-        skip_(header_room) {
+                               : std::vector<std::uint8_t>()) {
     if (pool == nullptr) bytes_.reserve(capacity);
-    bytes_.assign(header_room, 0);
   }
   template <typename T>
   void put(const T& v) {
@@ -31,18 +27,14 @@ class Writer {
     const auto* p = reinterpret_cast<const std::uint8_t*>(pts.data());
     bytes_.insert(bytes_.end(), p, p + pts.size() * sizeof(Vec2));
   }
-  /// Append the CRC-32 trailer (over the payload past the header room) and
-  /// hand out the framed payload.
+  /// Append the CRC-32 trailer and hand out the framed payload.
   std::vector<std::uint8_t> take() {
-    const std::uint32_t crc =
-        crc32(bytes_.data() + skip_, bytes_.size() - skip_);
-    put<std::uint32_t>(crc);
+    put<std::uint32_t>(crc32(bytes_.data(), bytes_.size()));
     return std::move(bytes_);
   }
 
  private:
   std::vector<std::uint8_t> bytes_;
-  std::size_t skip_ = 0;
 };
 
 class Reader {
@@ -76,7 +68,9 @@ class Reader {
       throw std::runtime_error("work unit payload truncated");
     }
     std::vector<Vec2> pts(n);
-    std::memcpy(pts.data(), data_ + pos_, n * sizeof(Vec2));
+    // An empty vector's data() may be null, which memcpy forbids even for
+    // zero bytes.
+    if (n > 0) std::memcpy(pts.data(), data_ + pos_, n * sizeof(Vec2));
     pos_ += n * sizeof(Vec2);
     return pts;
   }
@@ -88,6 +82,58 @@ class Reader {
 };
 
 }  // namespace
+
+void expand_unit(const WorkUnit& unit, const GradedSizing& sizing,
+                 const DecomposeOptions& bl_decompose,
+                 double inviscid_target_triangles, int inviscid_max_level,
+                 int refine_threads, std::vector<WorkUnit>& children,
+                 std::vector<std::array<Vec2, 3>>& triangles) {
+  if (unit.kind == WorkUnit::Kind::kBlDecompose) {
+    const std::size_t parent_size = unit.bl.size();
+    if (sufficiently_decomposed(unit.bl, bl_decompose)) {
+      Subdomain s = unit.bl;
+      s.finalize();
+      triangles = triangulate_subdomain_dc(s);
+    } else {
+      Subdomain parent = unit.bl;
+      auto [l, r] = split_subdomain(std::move(parent));
+      if (l.size() >= parent_size || r.size() >= parent_size) {
+        Subdomain whole = l.size() >= parent_size ? std::move(l) : std::move(r);
+        whole.level -= 1;
+        whole.cuts.pop_back();
+        whole.finalize();
+        triangles = triangulate_subdomain_dc(whole);
+      } else {
+        children.push_back(
+            WorkUnit{WorkUnit::Kind::kBlDecompose, std::move(l), {}});
+        children.push_back(
+            WorkUnit{WorkUnit::Kind::kBlDecompose, std::move(r), {}});
+      }
+    }
+    return;
+  }
+  const bool leaf =
+      !unit.inv.hole_segments.empty() ||
+      unit.inv.level >= inviscid_max_level ||
+      unit.inv.estimated_triangles(sizing) <= inviscid_target_triangles;
+  std::vector<InviscidSubdomain> kids;
+  if (!leaf) kids = plus_split(unit.inv, sizing);
+  if (leaf || kids.empty()) {
+    const TriangulateResult r =
+        refine_subdomain(unit.inv, sizing, refine_threads);
+    r.mesh.for_each_triangle([&](TriIndex t) {
+      const MeshTri& mt = r.mesh.tri(t);
+      if (!mt.inside) return;
+      triangles.push_back({r.mesh.point(mt.v[0]), r.mesh.point(mt.v[1]),
+                           r.mesh.point(mt.v[2])});
+    });
+    return;
+  }
+  for (auto& c : kids) {
+    children.push_back(
+        WorkUnit{WorkUnit::Kind::kInviscidDecouple, {}, std::move(c)});
+  }
+}
 
 std::size_t serialized_size(const WorkUnit& unit) {
   std::size_t n = 8 + 8 + 1;  // id, failed_ranks, kind
@@ -111,9 +157,8 @@ std::size_t serialized_triangles_size(std::size_t ntris) {
   return 8 + ntris * 3 * sizeof(Vec2) + 4;
 }
 
-std::vector<std::uint8_t> serialize(const WorkUnit& unit, BufferPool* pool,
-                                    std::size_t header_room) {
-  Writer w(header_room + serialized_size(unit), pool, header_room);
+std::vector<std::uint8_t> serialize(const WorkUnit& unit, BufferPool* pool) {
+  Writer w(serialized_size(unit), pool);
   w.put<std::uint64_t>(unit.id);
   w.put<std::uint64_t>(unit.failed_ranks);
   w.put<std::uint8_t>(static_cast<std::uint8_t>(unit.kind));
@@ -189,10 +234,8 @@ WorkUnit deserialize_work(const ByteBuf& bytes) {
 }
 
 std::vector<std::uint8_t> serialize_triangles(
-    const std::vector<std::array<Vec2, 3>>& tris, BufferPool* pool,
-    std::size_t header_room) {
-  Writer w(header_room + serialized_triangles_size(tris.size()), pool,
-           header_room);
+    const std::vector<std::array<Vec2, 3>>& tris, BufferPool* pool) {
+  Writer w(serialized_triangles_size(tris.size()), pool);
   w.put<std::uint64_t>(tris.size());
   for (const auto& t : tris) {
     for (const Vec2 p : t) w.put<Vec2>(p);

@@ -40,10 +40,29 @@ struct WorkUnit {
   }
 };
 
+/// The split/mesh rules of the decomposition tree, shared by the pool and
+/// the cluster model's measured task graph. One call either splits `unit`,
+/// appending its child units to `children`, or meshes it, appending its
+/// inside triangles to `triangles`:
+///   - a boundary-layer unit splits until `bl_decompose` calls it
+///     sufficiently decomposed (or a split fails to shrink it), then its
+///     leaf is triangulated by the divide-and-conquer kernel;
+///   - an inviscid unit '+'-splits until it holds body holes, reaches
+///     `inviscid_max_level`, or is estimated at no more than
+///     `inviscid_target_triangles` under `sizing`, then it is refined with
+///     `refine_threads` threads on the refiner's initial scan.
+/// Pure with respect to `unit`, so a throwing attempt can be retried from the
+/// unchanged input. Boundary-layer units never read `sizing`.
+void expand_unit(const WorkUnit& unit, const GradedSizing& sizing,
+                 const DecomposeOptions& bl_decompose,
+                 double inviscid_target_triangles, int inviscid_max_level,
+                 int refine_threads, std::vector<WorkUnit>& children,
+                 std::vector<std::array<Vec2, 3>>& triangles);
+
 /// Exact size in bytes of serialize(unit) including the CRC trailer (and of
-/// serialize_triangles for a soup of `ntris`). Lets the transport pick the
-/// copy-vs-window path and size a pooled buffer before serializing, so the
-/// hot path writes once into a right-sized buffer and never reallocates.
+/// serialize_triangles for a soup of `ntris`). Lets the transport size a
+/// pooled buffer before serializing, so the hot path writes once into a
+/// right-sized buffer and never reallocates.
 std::size_t serialized_size(const WorkUnit& unit);
 std::size_t serialized_triangles_size(std::size_t ntris);
 
@@ -53,24 +72,18 @@ std::size_t serialized_triangles_size(std::size_t ntris);
 /// copy. Projected coordinates are never shipped -- they depend on the next
 /// median vertex and are recomputed after transfer. The payload ends with a
 /// CRC-32 trailer; `deserialize_work` throws `std::runtime_error` on a
-/// truncated or corrupted payload.
-///
-/// `pool` (optional) recycles the output buffer; `header_room` reserves
-/// zeroed bytes at the front for a transfer-frame header (the CRC trailer
-/// covers only the serialized payload after the reserved room), so framing
-/// is an in-place header write instead of a second payload copy.
+/// truncated or corrupted payload. `pool` (optional) recycles the output
+/// buffer.
 std::vector<std::uint8_t> serialize(const WorkUnit& unit,
-                                    BufferPool* pool = nullptr,
-                                    std::size_t header_room = 0);
+                                    BufferPool* pool = nullptr);
 WorkUnit deserialize_work(const std::uint8_t* data, std::size_t n);
 WorkUnit deserialize_work(const std::vector<std::uint8_t>& bytes);
 WorkUnit deserialize_work(const ByteBuf& bytes);
 
 /// Serialize a triangle soup (coordinate triples) for the result gather.
-/// Same CRC-32 trailer / pool / header-room contract as work-unit payloads.
+/// Same CRC-32 trailer / pool contract as work-unit payloads.
 std::vector<std::uint8_t> serialize_triangles(
-    const std::vector<std::array<Vec2, 3>>& tris, BufferPool* pool = nullptr,
-    std::size_t header_room = 0);
+    const std::vector<std::array<Vec2, 3>>& tris, BufferPool* pool = nullptr);
 std::vector<std::array<Vec2, 3>> deserialize_triangles(
     const std::uint8_t* data, std::size_t n);
 std::vector<std::array<Vec2, 3>> deserialize_triangles(

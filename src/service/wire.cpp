@@ -12,7 +12,10 @@ namespace {
 
 constexpr std::uint32_t kRequestMagic = 0x414d5251;   // "AMRQ"
 constexpr std::uint32_t kResponseMagic = 0x414d5253;  // "AMRS"
-constexpr std::uint32_t kWireVersion = 1;
+/// Bumped whenever the request or response layout changes: decoders refuse
+/// every other version, so an old client is told its bytes are malformed
+/// instead of having them misparsed.
+constexpr std::uint32_t kWireVersion = 2;
 
 /// Hard sanity bounds: a corrupt length field must fail decode, not become
 /// a multi-gigabyte allocation (same posture as the journal's record cap).
@@ -145,9 +148,6 @@ std::vector<std::uint8_t> encode_request(const MeshRequest& request) {
   // Runtime knobs a tenant may legitimately pick (they do not change the
   // triangles, only how they are computed).
   put<std::int32_t>(out, o.ranks);
-  put<std::uint8_t>(out, o.rma ? 1 : 0);
-  put<std::uint64_t>(out, o.rma_threshold);
-  put<std::int64_t>(out, o.coalesce_us);
   put<std::int64_t>(out, o.ack_timeout_ms);
   put<std::int64_t>(out, o.heartbeat_timeout_ms);
   put<std::int64_t>(out, o.watchdog_timeout_s);
@@ -175,19 +175,18 @@ bool decode_request(const std::uint8_t* data, std::size_t n,
   if (!r.get(&version) || version != kWireVersion) return false;
   MeshRequest req;
   Options& o = req.options;
-  std::uint8_t growth = 0, rma = 0;
+  std::uint8_t growth = 0;
   std::int32_t max_layers = 0, bl_max_level = 0, inviscid_max_level = 0;
   std::int32_t ranks = 0;
-  std::uint64_t bl_min_points = 0, rma_threshold = 0;
-  std::int64_t coalesce = 0, ack = 0, heartbeat = 0, watchdog = 0;
+  std::uint64_t bl_min_points = 0;
+  std::int64_t ack = 0, heartbeat = 0, watchdog = 0;
   if (!r.get(&req.id) || !r.get(&req.priority) || !r.get(&growth) ||
       !r.get(&o.first_height) || !r.get(&o.growth_ratio) ||
       !r.get(&max_layers) || !r.get(&o.farfield_chords) ||
       !r.get(&o.nearbody_margin) || !r.get(&o.grade) ||
       !r.get(&o.surface_length_factor) || !r.get(&bl_min_points) ||
       !r.get(&bl_max_level) || !r.get(&o.inviscid_target_triangles) ||
-      !r.get(&inviscid_max_level) || !r.get(&ranks) || !r.get(&rma) ||
-      !r.get(&rma_threshold) || !r.get(&coalesce) || !r.get(&ack) ||
+      !r.get(&inviscid_max_level) || !r.get(&ranks) || !r.get(&ack) ||
       !r.get(&heartbeat) || !r.get(&watchdog) || !r.get(&o.fault_rate) ||
       !r.get(&o.fault_seed)) {
     return false;
@@ -199,9 +198,6 @@ bool decode_request(const std::uint8_t* data, std::size_t n,
   o.bl_max_level = bl_max_level;
   o.inviscid_max_level = inviscid_max_level;
   o.ranks = ranks;
-  o.rma = rma != 0;
-  o.rma_threshold = static_cast<std::size_t>(rma_threshold);
-  o.coalesce_us = static_cast<long>(coalesce);
   o.ack_timeout_ms = static_cast<long>(ack);
   o.heartbeat_timeout_ms = static_cast<long>(heartbeat);
   o.watchdog_timeout_s = static_cast<long>(watchdog);

@@ -297,10 +297,11 @@ TEST(CheckpointKey, ConfigHashSeparatesMeshKnobsFromRuntimeKnobs) {
   const std::uint64_t h = mesh_config_hash(base);
 
   // Runtime knobs do not invalidate a journal: an 8-rank journal resumes a
-  // 2-rank run, over either transport, with budgets or chaos or neither.
+  // 2-rank run, at any refiner thread count, with budgets or chaos or
+  // neither.
   Options runtime = base;
   runtime.ranks = 8;
-  runtime.rma = !runtime.rma;
+  runtime.threads_per_rank = 4;
   runtime.fault_rate = 0.25;
   runtime.budget_wall_ms = 1234;
   runtime.checkpoint_path = "somewhere.aerojnl";
@@ -616,60 +617,53 @@ TEST(DriverResilience, WallBudgetStopsWithAValidPartialMesh) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded chaos soak: seeds x transports x crash/resume (the checkpoint_soak
-// ctest entry). Each iteration crashes a rank under a lossy fabric, then
-// resumes from the journal and demands the fault-free mesh bit-for-bit.
+// Bounded chaos soak: seeds x crash/resume (the checkpoint_soak ctest
+// entry). Each iteration crashes a rank under a lossy fabric, then resumes
+// from the journal and demands the fault-free mesh bit-for-bit.
 
 TEST(CheckpointSoak, CrashResumeMatrix) {
   const CheckpointFixture& fx = fixture();
   const std::uint32_t seeds[] = {7u, 1912u};
-  const bool transports[] = {true, false};  // rma on / off
 
   for (const std::uint32_t seed : seeds) {
-    for (const bool rma : transports) {
-      TempJournal tj("soak_" + std::to_string(seed) + (rma ? "_rma" : "_copy"));
+    TempJournal tj("soak_" + std::to_string(seed));
 
-      CheckpointSink sink;
-      ASSERT_TRUE(sink.open(tj.path, kHash, /*append=*/false));
-      PoolOptions opts = fx.opts;
-      opts.tuning.rma = rma;
-      opts.checkpoint = &sink;
-      opts.faults.enabled = true;
-      opts.faults.seed = seed;
-      opts.faults.drop_rate = 0.05;
-      opts.faults.duplicate_rate = 0.03;
-      opts.faults.corrupt_rate = 0.03;
-      opts.faults.crash_rank_after_units = {
-          {1 + static_cast<int>(seed % 3), 1 + seed % 4}};
-      MergedMesh chaotic;
-      {
-        auto initial = fx.initial;
-        const PoolStats s = run_pool(std::move(initial), fx.sizing, opts,
-                                     chaotic);
-        EXPECT_EQ(s.injected_crashes, 1u)
-            << "seed " << seed << " rma " << rma;
-      }
-      sink.close();
-
-      // Resume leg: healthy pool, same transport, replay the journal.
-      const JournalContents loaded = read_journal(tj.path, kHash);
-      ASSERT_TRUE(loaded.header_ok);
-      const ResumeState resume(loaded);
-      MergedMesh resumed;
-      PoolOptions ropts = fx.opts;
-      ropts.tuning.rma = rma;
-      ropts.resume = &resume;
-      {
-        auto initial = fx.initial;
-        const PoolStats s = run_pool(std::move(initial), fx.sizing, ropts,
-                                     resumed);
-        EXPECT_EQ(s.status, RunStatus::kOk)
-            << "seed " << seed << " rma " << rma;
-        EXPECT_EQ(s.resumed_units, loaded.records.size());
-      }
-      EXPECT_EQ(canonical_triangles(resumed), reference_triangles())
-          << "seed " << seed << " rma " << rma;
+    CheckpointSink sink;
+    ASSERT_TRUE(sink.open(tj.path, kHash, /*append=*/false));
+    PoolOptions opts = fx.opts;
+    opts.checkpoint = &sink;
+    opts.faults.enabled = true;
+    opts.faults.seed = seed;
+    opts.faults.drop_rate = 0.05;
+    opts.faults.duplicate_rate = 0.03;
+    opts.faults.corrupt_rate = 0.03;
+    opts.faults.crash_rank_after_units = {
+        {1 + static_cast<int>(seed % 3), 1 + seed % 4}};
+    MergedMesh chaotic;
+    {
+      auto initial = fx.initial;
+      const PoolStats s = run_pool(std::move(initial), fx.sizing, opts,
+                                   chaotic);
+      EXPECT_EQ(s.injected_crashes, 1u) << "seed " << seed;
     }
+    sink.close();
+
+    // Resume leg: healthy pool, replay the journal.
+    const JournalContents loaded = read_journal(tj.path, kHash);
+    ASSERT_TRUE(loaded.header_ok);
+    const ResumeState resume(loaded);
+    MergedMesh resumed;
+    PoolOptions ropts = fx.opts;
+    ropts.resume = &resume;
+    {
+      auto initial = fx.initial;
+      const PoolStats s = run_pool(std::move(initial), fx.sizing, ropts,
+                                   resumed);
+      EXPECT_EQ(s.status, RunStatus::kOk) << "seed " << seed;
+      EXPECT_EQ(s.resumed_units, loaded.records.size());
+    }
+    EXPECT_EQ(canonical_triangles(resumed), reference_triangles())
+        << "seed " << seed;
   }
 }
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/mesh_generator.hpp"
 #include "runtime/cluster_model.hpp"
 
@@ -125,6 +129,30 @@ TEST(ClusterModel, MeasuredGraphFromRealPipeline) {
   // The model must show real speedup on the measured graph.
   const SimResult r8 = simulate_cluster(g, 8, ClusterOptions{});
   EXPECT_GT(r8.speedup, 1.5);
+
+  // The graph's shape is the pool's split/mesh tree for this configuration,
+  // pinned exactly: node count, kinds, depth-first child lists and payload
+  // bytes. Only the measured seconds may vary from run to run.
+  std::map<std::string, int> labels;
+  std::size_t bytes = 0;
+  std::vector<std::vector<std::size_t>> children;
+  for (const TaskNode& n : g.nodes) {
+    ++labels[n.label];
+    bytes += n.bytes;
+    children.push_back(n.children);
+  }
+  EXPECT_EQ(g.nodes.size(), 20u);
+  EXPECT_EQ(labels, (std::map<std::string, int>{{"bl-leaf", 8},
+                                                {"bl-split", 7},
+                                                {"inviscid-leaf", 4},
+                                                {"near-body", 1}}));
+  EXPECT_EQ(bytes, 362215u);
+  const std::vector<std::vector<std::size_t>> expected_children = {
+      {1, 8}, {2, 5}, {3, 4}, {}, {}, {6, 7}, {}, {}, {9, 12}, {10, 11},
+      {}, {}, {13, 14}, {}, {}, {}, {}, {}, {}, {}};
+  EXPECT_EQ(children, expected_children);
+  EXPECT_EQ(g.phases,
+            (std::vector<std::vector<std::size_t>>{{0}, {15, 16, 17, 18, 19}}));
 }
 
 }  // namespace

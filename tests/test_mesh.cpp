@@ -68,6 +68,13 @@ struct CloudParam {
   unsigned seed;
 };
 
+// Without this gtest prints the struct's raw bytes, and with them the
+// address of `name`, into the listed test name; under ASLR that gave the
+// ctest entry a different name on every build.
+void PrintTo(const CloudParam& p, std::ostream* os) {
+  *os << '{' << p.name << ',' << p.n << ',' << p.seed << '}';
+}
+
 class CloudSweep : public ::testing::TestWithParam<CloudParam> {
  protected:
   std::vector<Vec2> make_points() const {

@@ -1,14 +1,19 @@
 // MeshView read facade over the SoA mesh core: the versioned "AMSH" blob
 // (golden bytes, round-trip, typed rejection), chunk-boundary growth of the
 // backing arenas, the 32-bit capacity ceiling, and the out-of-core spill
-// merge's identity with the in-RAM merge under a bounded resident budget.
+// merge's identity with the in-RAM merge under a bounded resident budget,
+// alone and with concurrent runs sharing one spill directory.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "airfoil/geometry.hpp"
@@ -231,6 +236,38 @@ TEST(SpillMerge, BitIdenticalToInRamMergeAtFourRanks) {
   const auto conf = b.mesh.check_conformity();
   EXPECT_TRUE(conf.manifold);
   EXPECT_TRUE(conf.orientation_ok);
+}
+
+TEST(SpillMerge, ConcurrentRunsShareOneDirectory) {
+  // Every pool pass claims its own spill journal, so two runs spilling into
+  // one directory at the same time neither truncate nor delete each other's
+  // files, and each still merges exactly the in-RAM mesh.
+  std::string dir = testing::TempDir() + "aeromesh_spill_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+
+  const ParallelMeshResult in_ram = parallel_generate_mesh(spill_case());
+  ASSERT_EQ(in_ram.status, RunStatus::kOk);
+  const auto reference = triangle_signature(in_ram.mesh);
+
+  Options spilled = spill_case();
+  spilled.merge_spill_dir = dir;
+  spilled.merge_resident_mb = 1;
+  ParallelMeshResult a, b;
+  std::thread other([&] { b = parallel_generate_mesh(spilled); });
+  a = parallel_generate_mesh(spilled);
+  other.join();
+
+  for (const ParallelMeshResult* r : {&a, &b}) {
+    ASSERT_EQ(r->status, RunStatus::kOk);
+    EXPECT_GT(r->bl_pool.spill_records + r->inviscid_pool.spill_records, 0u);
+    EXPECT_EQ(r->bl_pool.spill_write_failures +
+                  r->inviscid_pool.spill_write_failures,
+              0u);
+    EXPECT_EQ(triangle_signature(r->mesh), reference);
+  }
+  // Each pass deleted its own journal after the merge.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SpillMerge, ResidentBudgetBoundsTheMergeWindows) {

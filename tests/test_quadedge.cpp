@@ -95,6 +95,13 @@ struct DcParam {
   unsigned seed;
 };
 
+// Without this gtest prints the struct's raw bytes, and with them the
+// address of `shape`, into the listed test name; under ASLR that gave the
+// ctest entry a different name on every build.
+void PrintTo(const DcParam& p, std::ostream* os) {
+  *os << '{' << p.shape << ',' << p.n << ',' << p.seed << '}';
+}
+
 class DcEquivalence : public ::testing::TestWithParam<DcParam> {
  protected:
   std::vector<Vec2> make_points() const {

@@ -12,12 +12,14 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/crc32.hpp"  // aerolint: allow(public-api)
 #include "core/options.hpp"
 #include "core/options_hash.hpp"  // aerolint: allow(public-api)
 #include "obs/metrics.hpp"  // aerolint: allow(public-api)
@@ -43,16 +45,13 @@ TEST(ServiceCacheKey, NonMeshKnobsDoNotChangeKey) {
   const std::uint64_t base = mesh_config_hash(base_options());
   const std::atomic<bool> stop{false};
 
-  // Every runtime/transport/fault/observability/server-side knob, flipped
+  // Every runtime/fault/observability/server-side knob, flipped
   // away from its default: none of them changes the triangles, so none may
   // change the key (this is what lets a ranks=4 run answer a sequential
   // request from the cache).
   const Options variants[] = {
       base_options().set_ranks(4),
       base_options().set_threads_per_rank(4),
-      base_options().set_rma(true),
-      base_options().set_rma_threshold(1 << 12),
-      base_options().set_coalesce_us(500),
       base_options().set_ack_timeout_ms(77),
       base_options().set_heartbeat_timeout_ms(333),
       base_options().set_watchdog_timeout_s(9),
@@ -140,7 +139,6 @@ MeshRequest sample_request() {
                     .growth(GrowthKind::kAdaptive)
                     .set_first_height(2.5e-4)
                     .set_ranks(3)
-                    .set_rma(true)
                     .set_fault_rate(0.01)
                     .set_fault_seed(99);
   return req;
@@ -156,7 +154,6 @@ TEST(ServiceWire, RequestRoundTrip) {
   EXPECT_EQ(out.options.growth_kind, req.options.growth_kind);
   EXPECT_EQ(out.options.first_height, req.options.first_height);
   EXPECT_EQ(out.options.ranks, req.options.ranks);
-  EXPECT_EQ(out.options.rma, req.options.rma);
   EXPECT_EQ(out.options.fault_rate, req.options.fault_rate);
   EXPECT_EQ(out.options.fault_seed, req.options.fault_seed);
   ASSERT_EQ(out.options.airfoil.elements.size(),
@@ -210,6 +207,24 @@ TEST(ServiceWire, CorruptionAndTruncationRejected) {
   std::vector<std::uint8_t> padded = bytes;
   padded.push_back(0);
   EXPECT_FALSE(decode_request(padded, &out));
+}
+
+TEST(ServiceWire, VersionOneRequestIsMalformed) {
+  // Version 2 dropped the transport knobs from the request layout, so a
+  // version-1 request -- even one whose CRC trailer is intact -- must be
+  // refused rather than misparsed. Re-stamp a current request as version 1
+  // and re-seal its trailer.
+  std::vector<std::uint8_t> bytes = encode_request(sample_request());
+  const auto reseal = [&bytes](std::uint32_t version) {
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  };
+  MeshRequest out;
+  reseal(1);
+  EXPECT_FALSE(decode_request(bytes, &out));
+  reseal(2);  // control: the same bytes at the current version decode
+  EXPECT_TRUE(decode_request(bytes, &out));
 }
 
 TEST(ServiceWire, ResponseRoundTrip) {

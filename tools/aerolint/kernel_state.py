@@ -1,11 +1,12 @@
 """Kernel shared-state audit: mutable state reachable from the Delaunay
 insert path must declare its threading discipline.
 
-The intra-rank parallel kernel (delaunay/parallel_insert) runs worker
-threads over a frozen DelaunayMesh between two barriers; its race-freedom
-argument is that every byte the workers can reach is either immutable for
-the duration of the window or owned by exactly one thread. That argument
-only holds if no one quietly adds shared mutable state to the kernel later.
+The refiner's threaded initial scan (RuppertRefiner in delaunay/refine.cpp,
+RefineOptions::threads) runs worker threads over a DelaunayMesh that only
+the main thread writes; its race-freedom argument is that every byte the
+workers can reach is either immutable for the duration of the scan or owned
+by exactly one thread. That argument only holds if no one quietly adds
+shared mutable state to the kernel later.
 This audit enforces the paper trail: within the kernel's reach
 (src/delaunay and src/geom), every
 

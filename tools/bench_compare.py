@@ -27,16 +27,17 @@ Per-counter gates: a ``<report>.tolerances.json`` sidecar next to the
 *baseline* report opts individual counters into gating with their own
 tolerance, replacing the old one-global-flag-fits-all scheme. Schema::
 
-  { "speedup_4t":  {"tolerance": 0.50, "higher_is_better": true},
-    "threads_4_s": {"tolerance": 0.50},
-    "refine_triangles": {"tolerance": 0.0} }
+  { "requests_per_s":          {"tolerance": 0.50, "higher_is_better": true},
+    "peak_rss_per_triangle_b": {"tolerance": 0.15},
+    "pipeline_triangles":      {"tolerance": 0.0} }
 
 ``higher_is_better`` flips the regression direction (a speedup falling below
 ``baseline * (1 - tolerance)`` fails; the default direction fails when the
 counter rises above ``baseline * (1 + tolerance)``). ``tolerance: 0`` pins a
-deterministic counter exactly. Counters absent from the sidecar keep the old
-behavior: printed with a ``(changed)`` marker, never gated. Entries whose
-value is not an object are ignored (room for ``_comment`` keys).
+deterministic counter exactly, in both directions. Counters absent from the
+sidecar keep the old behavior: printed with a ``(changed)`` marker, never
+gated. Entries whose value is not an object are ignored (room for
+``_comment`` keys).
 
 Exit codes: 0 ok, 1 regression or malformed input, 77 soft-skip (either side
 has no reports -- e.g. the benches were never run in this build tree; the
@@ -227,7 +228,11 @@ def main():
                     print(f"{name}: counter {key} is gated but not numeric")
                     return 1
                 tol = spec["tolerance"]
-                if spec["higher_is_better"]:
+                if tol == 0.0:
+                    bound = bf
+                    bad = cf != bf
+                    bound_name = "pinned"
+                elif spec["higher_is_better"]:
                     bound = bf * (1.0 - tol)
                     bad = cf < bound
                     bound_name = "floor"
