@@ -55,7 +55,7 @@ int main() {
 
   const BoundaryLayer bl = build_boundary_layer(cfg.airfoil, blayer_options(cfg));
   MergedMesh bl_mesh;
-  triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr, nullptr);
+  triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr);
   const InviscidDomain domain = make_inviscid_domain(bl, cfg, bl_mesh);
 
   PoolOptions opts;

@@ -54,7 +54,7 @@ int main() {
     Timer t;
     MergedMesh mesh;
     std::size_t nsub;
-    triangulate_boundary_layer(bl, bl_decompose_options(config), mesh, &nsub, nullptr);
+    triangulate_boundary_layer(bl, bl_decompose_options(config), mesh, &nsub);
     t_decomposed = t.seconds();
     tris_decomposed = mesh.triangle_count();
     std::printf("decomposition produced %zu subdomains\n", nsub);

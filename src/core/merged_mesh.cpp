@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/mesh_view.hpp"
 #include "geom/predicates.hpp"
 #include "geom/segment.hpp"
 #include "geom/triangle_quality.hpp"
@@ -53,36 +53,31 @@ std::uint32_t MergedMesh::find_point(Vec2 p) const {
   return s == 0 ? kNoPoint : s - 1;
 }
 
-void MergedMesh::add_triangle(Vec2 a, Vec2 b, Vec2 c) {
+void MergedMesh::push_tri(const std::array<std::uint32_t, 3>& ids) {
   if (tris_.size() >= capacity_limit_) {
     throw MeshTooLargeError("merged mesh exceeds 32-bit triangle capacity");
   }
-  tris_.push_back({add_point(a), add_point(b), add_point(c)});
+  tris_.push_back(ids);
   dead_.push_back(0);
 }
 
-void MergedMesh::append(const DelaunayMesh& mesh) {
-  // Intern each piece vertex once instead of hashing every triangle corner:
-  // a triangle soup probes the coordinate table ~6x per interior vertex, and
-  // that hashing dominated merge time in profiles.
-  constexpr auto kUnmapped = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> remap(mesh.point_count(), kUnmapped);
-  mesh.for_each_triangle([&](TriIndex t) {
-    const MeshTri mt = mesh.tri(t);
-    if (!mt.inside) return;
-    if (tris_.size() >= capacity_limit_) {
-      throw MeshTooLargeError("merged mesh exceeds 32-bit triangle capacity");
-    }
-    std::array<std::uint32_t, 3> ids;
-    for (int i = 0; i < 3; ++i) {
-      std::uint32_t& slot = remap[static_cast<std::size_t>(mt.v[i])];
-      if (slot == kUnmapped) slot = add_point(mesh.point(mt.v[i]));
-      ids[i] = slot;
-    }
-    tris_.push_back(ids);
-    dead_.push_back(0);
+void MergedMesh::add_triangle(Vec2 a, Vec2 b, Vec2 c) {
+  push_tri({add_point(a), add_point(b), add_point(c)});
+}
+
+void MergedMesh::append(const MeshView& piece) {
+  // One probe per piece point, not one per triangle corner (~6x more per
+  // interior vertex): interner hashing dominated merge time in profiles.
+  std::vector<std::uint32_t> ids(piece.point_count());
+  for (std::uint32_t i = 0; i < ids.size(); ++i) {
+    ids[i] = add_point(piece.point(i));
+  }
+  piece.for_each_tri_ids([&](const std::array<std::uint32_t, 3>& t) {
+    push_tri({ids[t[0]], ids[t[1]], ids[t[2]]});
   });
 }
+
+void MergedMesh::append(const DelaunayMesh& mesh) { append(make_piece(mesh)); }
 
 std::vector<std::uint8_t> MergedMesh::flood_from(
     const std::vector<std::pair<Vec2, Vec2>>& barrier,

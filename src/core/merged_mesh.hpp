@@ -12,6 +12,8 @@
 
 namespace aero {
 
+class MeshView;
+
 /// Thrown when a merged mesh outgrows 32-bit index capacity. The pipeline
 /// drivers catch it and report RunStatus::kMeshTooLarge instead of silently
 /// truncating vertex ids.
@@ -42,7 +44,13 @@ class MergedMesh {
   /// Append one triangle by coordinates (CCW).
   void add_triangle(Vec2 a, Vec2 b, Vec2 c);
 
-  /// Append every live inside triangle of a piece.
+  /// Append a mesh piece: intern each of its points once, in order, then
+  /// append its live triangles with their ids mapped. This is the one merge
+  /// loop every pipeline driver feeds; for a piece built by make_piece it
+  /// assigns exactly the ids per-corner interning would.
+  void append(const MeshView& piece);
+
+  /// Append every live inside triangle of a kernel mesh (its make_piece).
   void append(const DelaunayMesh& mesh);
 
   /// Remove the triangles enclosed by `barrier` edges around each `seed`
@@ -145,6 +153,9 @@ class MergedMesh {
   /// empty slot where p would go. Requires a non-empty table.
   std::size_t probe(Vec2 p) const;
   void rehash(std::size_t new_cap);
+  /// Append one triangle record of interned ids.
+  /// Throws MeshTooLargeError past 32-bit triangle capacity.
+  void push_tri(const std::array<std::uint32_t, 3>& ids);
 
   ChunkedArray<Vec2> points_;
   ChunkedArray<std::array<std::uint32_t, 3>> tris_;

@@ -105,33 +105,37 @@ std::vector<std::pair<Vec2, Vec2>> ring_barrier(const BoundaryLayer& bl) {
   return barrier;
 }
 
-/// Fire the configured phase observer (no-op when none is installed).
-void notify_phase(const Options& opts, const char* phase,
-                  const BoundaryLayer* bl, const MergedMesh* mesh) {
-  if (opts.phase_hook) {
-    opts.phase_hook(phase, PhaseArtifacts{bl, mesh});
+/// The boundary-layer phase's one root: the whole deduplicated cloud.
+std::vector<WorkUnit> boundary_layer_roots(const BoundaryLayer& bl) {
+  std::vector<WorkUnit> roots;
+  roots.push_back(WorkUnit{WorkUnit::Kind::kBlDecompose,
+                           make_root_subdomain(bl.points),
+                           {}});
+  return roots;
+}
+
+/// The inviscid phase's roots: the four quadrants, then the near-body box.
+std::vector<WorkUnit> inviscid_roots(const InviscidDomain& domain) {
+  std::vector<WorkUnit> roots;
+  for (InviscidSubdomain& quad : initial_quadrants(domain)) {
+    roots.push_back(
+        WorkUnit{WorkUnit::Kind::kInviscidDecouple, {}, std::move(quad)});
   }
+  roots.push_back(WorkUnit{WorkUnit::Kind::kInviscidDecouple,
+                           {},
+                           near_body_subdomain(domain)});
+  return roots;
 }
 
 }  // namespace
 
 void triangulate_boundary_layer(const BoundaryLayer& bl,
                                 const DecomposeOptions& opts,
-                                MergedMesh& out, std::size_t* subdomains,
-                                std::vector<double>* task_seconds) {
-  Subdomain root = make_root_subdomain(bl.points);
-  const std::vector<Subdomain> leaves = decompose(std::move(root), opts);
-  if (subdomains) *subdomains = leaves.size();
-
-  for (const Subdomain& leaf : leaves) {
-    Timer t;
-    // Divide-and-conquer with vertical cuts, as the paper configures
-    // Triangle for the over-decomposed leaves.
-    const auto owned = triangulate_subdomain_dc(leaf);
-    if (task_seconds) task_seconds->push_back(t.seconds());
-    for (const auto& tri : owned) out.add_triangle(tri[0], tri[1], tri[2]);
-  }
-
+                                MergedMesh& out, std::size_t* subdomains) {
+  const std::size_t leaves = walk_inline(
+      boundary_layer_roots(bl), GradedSizing{}, TreeRules{.bl_decompose = opts},
+      out);
+  if (subdomains) *subdomains = leaves;
   // The Delaunay triangulation of the cloud covers its convex hull; the
   // boundary-layer mesh is only the ring between each surface and its outer
   // border. Airfoil interiors, coves, inter-element gaps, and hull pockets
@@ -216,6 +220,63 @@ InviscidDomain make_inviscid_domain(const BoundaryLayer& bl,
   return domain;
 }
 
+void run_stages(const Options& opts, const PhaseRunner& run_phase,
+                StageResult& out) {
+  const Timer total;
+  // Run `fn` as the named stage: one trace span, one PhaseTimings entry.
+  const auto stage = [&out](const char* name, auto&& fn) {
+    const Timer t;
+    {
+      AERO_TRACE_SPAN("pipeline", name);
+      fn();
+    }
+    out.timings.record(name, t.seconds());
+  };
+  const auto notify = [&](const char* hook, const MergedMesh* mesh) {
+    if (opts.phase_hook) {
+      opts.phase_hook(hook, PhaseArtifacts{&out.boundary_layer, mesh});
+    }
+  };
+  // Run a tree phase as the named stage; false when it was drained.
+  const auto phase = [&](const char* name, TreePhase which,
+                         std::vector<WorkUnit> roots,
+                         const GradedSizing& sizing) {
+    RunStatus status = RunStatus::kOk;
+    stage(name, [&] {
+      status = run_phase(which, std::move(roots), sizing, out.mesh);
+    });
+    out.status = worse(out.status, status);
+    return status != RunStatus::kStopped;
+  };
+
+  stage("boundary_layer_points", [&] {
+    out.boundary_layer =
+        build_boundary_layer(opts.airfoil, blayer_options(opts));
+  });
+  notify("boundary_layer", nullptr);
+
+  // Boundary-layer units never read the sizing.
+  if (!phase("boundary_layer_triangulation", TreePhase::kBoundaryLayer,
+             boundary_layer_roots(out.boundary_layer), GradedSizing{})) {
+    out.timings.record("total", total.seconds());
+    return;
+  }
+  stage("ring_restriction",
+        [&] { restrict_to_ring(out.mesh, out.boundary_layer); });
+  notify("boundary_layer_mesh", &out.mesh);
+
+  InviscidDomain domain;
+  stage("inviscid_layout", [&] {
+    domain = make_inviscid_domain(out.boundary_layer, opts, out.mesh);
+  });
+  out.sizing = domain.sizing;
+
+  phase("inviscid_refinement", TreePhase::kInviscid, inviscid_roots(domain),
+        domain.sizing);
+  notify("final_mesh", &out.mesh);
+  out.timings.record("total", total.seconds());
+}
+
 MeshGenerationResult generate_mesh(const Options& opts) {
   const std::vector<OptionIssue> issues = opts.validate();
   for (const OptionIssue& i : issues) {
@@ -228,77 +289,24 @@ MeshGenerationResult generate_mesh(const Options& opts) {
   obs::apply(trace_config(opts));
   AERO_TRACE_THREAD("pipeline", -1);
   AERO_TRACE_SPAN("pipeline", "generate_mesh");
-  Timer total;
-
-  // Stage 1: anisotropic boundary layer (rays, fans, intersections, points).
-  Timer t1;
-  {
-    AERO_TRACE_SPAN("pipeline", "boundary_layer_points");
-    result.boundary_layer =
-        build_boundary_layer(opts.airfoil, blayer_options(opts));
-  }
-  result.timings.record("boundary_layer_points", t1.seconds());
-  notify_phase(opts, "boundary_layer", &result.boundary_layer, nullptr);
-
-  // Stage 2: parallel-decomposed boundary-layer triangulation.
-  Timer t3;
-  {
-    AERO_TRACE_SPAN("pipeline", "boundary_layer_triangulation");
-    triangulate_boundary_layer(result.boundary_layer,
-                               bl_decompose_options(opts), result.mesh,
-                               &result.bl_subdomains,
-                               &result.bl_task_seconds);
-  }
-  result.bl_triangles = result.mesh.triangle_count();
-  result.timings.record("boundary_layer_triangulation", t3.seconds());
-  notify_phase(opts, "boundary_layer_mesh", &result.boundary_layer,
-               &result.mesh);
-
-  // Stage 3: inviscid domain layout around the boundary-layer mesh.
-  Timer t2;
-  const InviscidDomain domain = [&] {
-    AERO_TRACE_SPAN("pipeline", "inviscid_layout");
-    return make_inviscid_domain(result.boundary_layer, opts, result.mesh);
-  }();
-  result.sizing = domain.sizing;
-  result.timings.record("inviscid_layout", t2.seconds());
-
-  // Stage 4: decoupled inviscid refinement.
-  Timer t4;
-  std::vector<InviscidSubdomain> subdomains;
-  {
-    AERO_TRACE_SPAN("pipeline", "inviscid_decoupling");
-    for (InviscidSubdomain& quad : initial_quadrants(domain)) {
-      for (InviscidSubdomain& leaf :
-           decouple_recursive(std::move(quad), domain.sizing,
-                              opts.inviscid_target_triangles,
-                              opts.inviscid_max_level)) {
-        subdomains.push_back(std::move(leaf));
-      }
-    }
-    subdomains.push_back(near_body_subdomain(domain));
-  }
-  result.inviscid_subdomains = subdomains.size();
-  result.timings.record("inviscid_decoupling", t4.seconds());
-
-  Timer t5;
-  {
-    AERO_TRACE_SPAN("pipeline", "inviscid_refinement");
-    for (const InviscidSubdomain& sub : subdomains) {
-      Timer t;
-      const TriangulateResult r =
-          refine_subdomain(sub, domain.sizing, opts.threads_per_rank);
-      result.inviscid_task_seconds.push_back(t.seconds());
-      result.mesh.append(r.mesh);
-    }
-  }
-  result.inviscid_triangles =
-      result.mesh.triangle_count() - result.bl_triangles;
-  result.timings.record("inviscid_refinement", t5.seconds());
-  notify_phase(opts, "final_mesh", &result.boundary_layer, &result.mesh);
-
-  result.status = RunStatus::kOk;  // every stage completed (throws otherwise)
-  result.timings.record("total", total.seconds());
+  const TreeRules rules = tree_rules(opts);
+  run_stages(
+      opts,
+      [&](TreePhase phase, std::vector<WorkUnit> roots,
+          const GradedSizing& sizing, MergedMesh& out) {
+        if (phase == TreePhase::kBoundaryLayer) {
+          result.bl_subdomains =
+              walk_inline(std::move(roots), sizing, rules, out);
+          return RunStatus::kOk;
+        }
+        // The mesh holds exactly the ring-restricted boundary layer here.
+        result.bl_triangles = out.triangle_count();
+        result.inviscid_subdomains =
+            walk_inline(std::move(roots), sizing, rules, out);
+        result.inviscid_triangles = out.triangle_count() - result.bl_triangles;
+        return RunStatus::kOk;
+      },
+      result);
   return result;
 }
 

@@ -34,7 +34,10 @@ MeshBlobStatus mesh_blob_status(const std::uint8_t* data, std::size_t len,
   const auto np = get_raw<std::uint64_t>(data + 8);
   const auto nt = get_raw<std::uint64_t>(data + 16);
   const std::uint64_t body = len - kMeshBlobHeaderSize;
-  if (np * 2 * sizeof(double) + nt * 3 * sizeof(std::uint32_t) != body) {
+  // Bound each count first so the size sum below cannot wrap.
+  if (np > body / (2 * sizeof(double)) ||
+      nt > body / (3 * sizeof(std::uint32_t)) ||
+      np * 2 * sizeof(double) + nt * 3 * sizeof(std::uint32_t) != body) {
     return MeshBlobStatus::kCountMismatch;
   }
   if (points != nullptr) *points = np;
@@ -49,20 +52,57 @@ MeshBlobStatus MeshView::parse(const std::uint8_t* data, std::size_t len,
   const MeshBlobStatus st = mesh_blob_status(data, len, &np, &nt);
   if (st != MeshBlobStatus::kOk) return st;
   const std::uint8_t* p = data + kMeshBlobHeaderSize;
-  out.own_pts_.resize(np);
-  std::memcpy(out.own_pts_.data(), p, np * 2 * sizeof(double));
+  std::vector<Vec2> pts(np);
+  std::vector<std::array<std::uint32_t, 3>> tris(nt);
+  // An empty vector's data() may be null, which memcpy forbids even for
+  // zero bytes.
+  if (np > 0) std::memcpy(pts.data(), p, np * 2 * sizeof(double));
   p += np * 2 * sizeof(double);
-  out.own_tris_.resize(nt);
-  std::memcpy(out.own_tris_.data(), p, nt * 3 * sizeof(std::uint32_t));
+  if (nt > 0) std::memcpy(tris.data(), p, nt * 3 * sizeof(std::uint32_t));
+  for (const std::array<std::uint32_t, 3>& t : tris) {
+    for (const std::uint32_t id : t) {
+      if (id >= np) return MeshBlobStatus::kBadIndex;
+    }
+  }
+  out = MeshView(std::move(pts), std::move(tris));
   return MeshBlobStatus::kOk;
 }
 
-std::vector<std::uint8_t> MeshView::serialize() const {
-  std::vector<std::uint8_t> out;
+MeshView MeshView::concat(const std::vector<MeshView>& pieces) {
+  std::vector<Vec2> points;
+  std::vector<std::array<std::uint32_t, 3>> tris;
+  for (const MeshView& p : pieces) {
+    const auto base = static_cast<std::uint32_t>(points.size());
+    for (std::uint32_t i = 0; i < p.point_count(); ++i) {
+      points.push_back(p.point(i));
+    }
+    p.for_each_tri_ids([&](const std::array<std::uint32_t, 3>& t) {
+      tris.push_back({t[0] + base, t[1] + base, t[2] + base});
+    });
+  }
+  return MeshView(std::move(points), std::move(tris));
+}
+
+MeshView make_piece(const DelaunayMesh& mesh) {
+  std::vector<std::array<std::uint32_t, 3>> tris;
+  mesh.for_each_triangle([&](TriIndex t) {
+    const MeshTri mt = mesh.tri(t);
+    if (!mt.inside) return;
+    tris.push_back({static_cast<std::uint32_t>(mt.v[0]),
+                    static_cast<std::uint32_t>(mt.v[1]),
+                    static_cast<std::uint32_t>(mt.v[2])});
+  });
+  return make_piece(mesh.point_count(), std::move(tris),
+                    [&](std::uint32_t v) {
+                      return mesh.point(static_cast<VertIndex>(v));
+                    });
+}
+
+std::vector<std::uint8_t> MeshView::serialize(
+    std::vector<std::uint8_t> out) const {
   const std::uint64_t np = point_count();
   const std::uint64_t nt = triangle_count();
-  out.reserve(kMeshBlobHeaderSize + np * 2 * sizeof(double) +
-              nt * 3 * sizeof(std::uint32_t));
+  out.reserve(out.size() + serialized_size());
   out.insert(out.end(), kMeshBlobMagic.begin(), kMeshBlobMagic.end());
   put_raw(out, kMeshBlobVersion);
   put_raw(out, np);

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/merged_mesh.hpp"
@@ -18,6 +19,7 @@ enum class MeshBlobStatus {
   kBadMagic,       ///< not an "AMSH" blob
   kBadVersion,     ///< layout version this build does not speak
   kCountMismatch,  ///< header counts disagree with the payload size
+  kBadIndex,       ///< a triangle names a point id past the point count
 };
 
 inline const char* to_string(MeshBlobStatus s) {
@@ -27,6 +29,7 @@ inline const char* to_string(MeshBlobStatus s) {
     case MeshBlobStatus::kBadMagic: return "bad-magic";
     case MeshBlobStatus::kBadVersion: return "bad-version";
     case MeshBlobStatus::kCountMismatch: return "count-mismatch";
+    case MeshBlobStatus::kBadIndex: return "bad-index";
   }
   return "unknown";
 }
@@ -53,20 +56,32 @@ inline MeshBlobStatus mesh_blob_status(const std::vector<std::uint8_t>& blob,
 
 /// Stable read-only facade over an assembled mesh: index-based handles,
 /// range iteration, and the one serialized form shared by the service
-/// cache, the result journal, and the checkpoint sink. Callers outside the
-/// mesh core consume this instead of reaching into MergedMesh internals.
+/// cache, the result journal, the checkpoint sink, the pool's result gather
+/// and its spill. Callers outside the mesh core consume this instead of
+/// reaching into MergedMesh internals.
 ///
 /// A view is either borrowed (zero-copy over a live MergedMesh -- the mesh
-/// must outlive the view) or owning (parsed from a serialized blob, in
-/// which case every record is live and ids are the blob's ids).
+/// must outlive the view) or owning (parsed from a serialized blob or built
+/// from arrays, in which case every record is live). An owning view is also
+/// the one form a subdomain leaf's output takes: a mesh *piece*, points plus
+/// id triples, merged into the global mesh by MergedMesh::append.
 class MeshView {
  public:
   MeshView() = default;
   /// Borrowed view; `mesh` must outlive the view.
   explicit MeshView(const MergedMesh& mesh) : mesh_(&mesh) {}
+  /// Owning view over explicit arrays; ids index `points`.
+  MeshView(std::vector<Vec2> points,
+           std::vector<std::array<std::uint32_t, 3>> tris)
+      : own_pts_(std::move(points)), own_tris_(std::move(tris)) {}
 
-  /// Parse an "AMSH" blob into an owning view. On any status other than
-  /// kOk, `out` is left empty.
+  /// The pieces laid end to end as one piece (ids offset per piece; points
+  /// shared between pieces repeat, and MergedMesh::append welds them).
+  static MeshView concat(const std::vector<MeshView>& pieces);
+
+  /// Parse an "AMSH" blob into an owning view, checking every triangle's
+  /// ids against the point count. On any status other than kOk, `out` is
+  /// left empty.
   static MeshBlobStatus parse(const std::uint8_t* data, std::size_t len,
                               MeshView& out);
   static MeshBlobStatus parse(const std::vector<std::uint8_t>& blob,
@@ -111,15 +126,50 @@ class MeshView {
     });
   }
 
-  /// Serialize to the versioned "AMSH" form. Points keep their interned
-  /// ids (including ids orphaned by carving); only live triangles are
-  /// emitted. Borrowed views copy chunk-wise out of the SoA arenas.
-  std::vector<std::uint8_t> serialize() const;
+  /// Serialize to the versioned "AMSH" form, appended to `out`. Points keep
+  /// their interned ids (including ids orphaned by carving); only live
+  /// triangles are emitted. Borrowed views copy chunk-wise out of the SoA
+  /// arenas.
+  std::vector<std::uint8_t> serialize(std::vector<std::uint8_t> out = {}) const;
+  /// Exact size of serialize()'s output.
+  std::size_t serialized_size() const {
+    return kMeshBlobHeaderSize + point_count() * sizeof(Vec2) +
+           triangle_count() * 3 * sizeof(std::uint32_t);
+  }
 
  private:
   const MergedMesh* mesh_ = nullptr;  ///< borrowed backing (nullptr = owning)
   std::vector<Vec2> own_pts_;
   std::vector<std::array<std::uint32_t, 3>> own_tris_;
 };
+
+/// Build a piece from triangles given as ids into a larger source point set
+/// (`point_of(id)` yields the coordinates). Only the points the triangles use
+/// are kept, renumbered in order of first use, so appending the piece interns
+/// points in exactly the order that interning each triangle's corners in turn
+/// would. This is what keeps a mesh byte-identical whichever walker appends
+/// the pieces.
+template <typename PointOf>
+MeshView make_piece(std::size_t source_points,
+                    std::vector<std::array<std::uint32_t, 3>> tris,
+                    PointOf&& point_of) {
+  constexpr std::uint32_t kUnmapped = 0xffffffffu;
+  std::vector<std::uint32_t> remap(source_points, kUnmapped);
+  std::vector<Vec2> points;
+  for (std::array<std::uint32_t, 3>& t : tris) {
+    for (std::uint32_t& id : t) {
+      std::uint32_t& slot = remap[id];
+      if (slot == kUnmapped) {
+        slot = static_cast<std::uint32_t>(points.size());
+        points.push_back(point_of(id));
+      }
+      id = slot;
+    }
+  }
+  return MeshView(std::move(points), std::move(tris));
+}
+
+/// The piece of a kernel mesh's inside triangles, in triangle order.
+MeshView make_piece(const DelaunayMesh& mesh);
 
 }  // namespace aero

@@ -118,7 +118,7 @@ struct Options {
   std::string resume_path;
   /// Out-of-core finalization: when non-empty, each pool pass spills
   /// finalized subdomains to a CRC-framed journal in this directory instead
-  /// of holding their triangle soup resident, then merges window-by-window
+  /// of holding their mesh pieces resident, then merges window-by-window
   /// under the resident budget below. The merged mesh is bit-identical to
   /// the in-RAM path at every rank/thread count ("" = merge in RAM).
   std::string merge_spill_dir;

@@ -34,9 +34,9 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n,
 ///
 /// The hash covers option *values*, not serialization layout: format
 /// changes to the stored bytes are versioned separately by the "AMSH" mesh
-/// blob tag (core/mesh_view.hpp) and the "ASUP" checkpoint soup tag
-/// (runtime/checkpoint.hpp), so a layout bump rejects stale bytes with a
-/// typed status even when the config hash still matches.
+/// blob tag (core/mesh_view.hpp) and the journal version (io/journal.hpp),
+/// so a layout bump rejects stale bytes even when the config hash still
+/// matches.
 std::uint64_t mesh_config_hash(const Options& opts);
 
 }  // namespace aero

@@ -2,6 +2,7 @@
 
 #include "blayer/boundary_layer.hpp"
 #include "core/options.hpp"
+#include "core/subdomain_tree.hpp"
 #include "hull/subdomain.hpp"
 #include "obs/trace.hpp"
 
@@ -22,6 +23,13 @@ inline BoundaryLayerOptions blayer_options(const Options& opts) {
 inline DecomposeOptions bl_decompose_options(const Options& opts) {
   return DecomposeOptions{.min_points = opts.bl_min_points,
                           .max_level = opts.bl_max_level};
+}
+
+inline TreeRules tree_rules(const Options& opts) {
+  return TreeRules{.bl_decompose = bl_decompose_options(opts),
+                   .inviscid_target_triangles = opts.inviscid_target_triangles,
+                   .inviscid_max_level = opts.inviscid_max_level,
+                   .refine_threads = opts.threads_per_rank};
 }
 
 inline obs::TraceConfig trace_config(const Options& opts) {

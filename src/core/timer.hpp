@@ -44,6 +44,14 @@ class PhaseTimings {
     for (const auto& [_, s] : entries_) t += s;
     return t;
   }
+  /// Summed seconds of every entry named `name` (0 when none is).
+  double seconds(const std::string& name) const {
+    double t = 0.0;
+    for (const auto& [n, s] : entries_) {
+      if (n == name) t += s;
+    }
+    return t;
+  }
 
  private:
   std::vector<std::pair<std::string, double>> entries_;

@@ -21,6 +21,9 @@ void Subdomain::finalize() {
   ysorted.shrink_to_fit();
 }
 
+namespace {
+
+/// True if decomposition of `s` should stop under `opts`.
 bool sufficiently_decomposed(const Subdomain& s, const DecomposeOptions& opts) {
   if (s.size() < std::max<std::size_t>(opts.min_points, 4)) return true;
   if (s.level >= opts.max_level) return true;
@@ -28,6 +31,8 @@ bool sufficiently_decomposed(const Subdomain& s, const DecomposeOptions& opts) {
   if (box.width() == 0.0 && box.height() == 0.0) return true;  // degenerate
   return false;
 }
+
+}  // namespace
 
 std::pair<Subdomain, Subdomain> split_subdomain(Subdomain&& parent,
                                                 int force_axis) {
@@ -180,6 +185,27 @@ std::pair<Subdomain, Subdomain> split_subdomain(Subdomain&& parent,
   return {std::move(left), std::move(right)};
 }
 
+std::vector<Subdomain> decompose_step(Subdomain& s,
+                                      const DecomposeOptions& opts) {
+  if (!sufficiently_decomposed(s, opts)) {
+    const std::size_t parent_size = s.size();
+    auto [l, r] = split_subdomain(std::move(s), opts.force_axis);
+    if (l.size() < parent_size && r.size() < parent_size) {
+      std::vector<Subdomain> children;
+      children.push_back(std::move(l));
+      children.push_back(std::move(r));
+      return children;
+    }
+    // Degenerate geometry (e.g. all points collinear): the split cannot
+    // make progress; keep the piece whole.
+    s = l.size() >= parent_size ? std::move(l) : std::move(r);
+    s.level -= 1;
+    s.cuts.pop_back();
+  }
+  s.finalize();
+  return {};
+}
+
 std::vector<Subdomain> decompose(Subdomain root, const DecomposeOptions& opts) {
   std::vector<Subdomain> leaves;
   std::vector<Subdomain> stack;
@@ -187,25 +213,9 @@ std::vector<Subdomain> decompose(Subdomain root, const DecomposeOptions& opts) {
   while (!stack.empty()) {
     Subdomain s = std::move(stack.back());
     stack.pop_back();
-    if (sufficiently_decomposed(s, opts)) {
-      s.finalize();
-      leaves.push_back(std::move(s));
-      continue;
-    }
-    const std::size_t parent_size = s.size();
-    auto [l, r] = split_subdomain(std::move(s), opts.force_axis);
-    if (l.size() >= parent_size || r.size() >= parent_size) {
-      // Degenerate geometry (e.g. all points collinear): the split cannot
-      // make progress; keep the piece whole.
-      Subdomain whole = l.size() >= parent_size ? std::move(l) : std::move(r);
-      whole.level -= 1;
-      whole.cuts.pop_back();
-      whole.finalize();
-      leaves.push_back(std::move(whole));
-      continue;
-    }
-    stack.push_back(std::move(l));
-    stack.push_back(std::move(r));
+    std::vector<Subdomain> children = decompose_step(s, opts);
+    if (children.empty()) leaves.push_back(std::move(s));
+    for (Subdomain& c : children) stack.push_back(std::move(c));
   }
   return leaves;
 }
@@ -234,16 +244,27 @@ TriangulateResult triangulate_subdomain(const Subdomain& s) {
   return result;
 }
 
-std::vector<std::array<Vec2, 3>> triangulate_subdomain_dc(
+std::vector<std::array<std::uint32_t, 3>> owned_triangles_dc(
     const Subdomain& s) {
-  std::vector<std::array<Vec2, 3>> owned;
+  std::vector<std::array<std::uint32_t, 3>> owned;
   const std::vector<Vec2>& pts = s.xsorted;
   if (pts.size() < 3) return owned;
   for (const auto& t : dc_delaunay(pts)) {
-    const Vec2 a = pts[static_cast<std::size_t>(t[0])];
-    const Vec2 b = pts[static_cast<std::size_t>(t[1])];
-    const Vec2 c = pts[static_cast<std::size_t>(t[2])];
-    if (owns_triangle(s, a, b, c)) owned.push_back({a, b, c});
+    const std::array<std::uint32_t, 3> ids = {static_cast<std::uint32_t>(t[0]),
+                                              static_cast<std::uint32_t>(t[1]),
+                                              static_cast<std::uint32_t>(t[2])};
+    if (owns_triangle(s, pts[ids[0]], pts[ids[1]], pts[ids[2]])) {
+      owned.push_back(ids);
+    }
+  }
+  return owned;
+}
+
+std::vector<std::array<Vec2, 3>> triangulate_subdomain_dc(
+    const Subdomain& s) {
+  std::vector<std::array<Vec2, 3>> owned;
+  for (const auto& t : owned_triangles_dc(s)) {
+    owned.push_back({s.xsorted[t[0]], s.xsorted[t[1]], s.xsorted[t[2]]});
   }
   return owned;
 }

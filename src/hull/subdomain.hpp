@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -70,12 +71,17 @@ struct DecomposeOptions {
 std::pair<Subdomain, Subdomain> split_subdomain(Subdomain&& parent,
                                                 int force_axis = -1);
 
-/// True if decomposition of `s` should stop under `opts`.
-bool sufficiently_decomposed(const Subdomain& s, const DecomposeOptions& opts);
+/// The boundary-layer tree's one split rule, shared by every walker of the
+/// tree. Returns the two children of `s`; or none, when `s` is a leaf: it is
+/// sufficiently decomposed under `opts`, or its split fails to shrink it
+/// (degenerate geometry such as collinear points), and it is then finalized
+/// in place. `s` is consumed when children are returned.
+std::vector<Subdomain> decompose_step(Subdomain& s,
+                                      const DecomposeOptions& opts);
 
-/// Recursively decompose `root` until every leaf is final. Sequential
-/// reference implementation; the parallel runtime distributes the same
-/// splits across ranks.
+/// Decompose `root` until every leaf is final: a depth-first walk of
+/// decompose_step (children pushed in order, so the right child's subtree is
+/// visited first), returning the leaves in visit order.
 std::vector<Subdomain> decompose(Subdomain root, const DecomposeOptions& opts);
 
 /// Triangulate a final subdomain (x-sorted fast path) and mark as `inside`
@@ -87,7 +93,12 @@ TriangulateResult triangulate_subdomain(const Subdomain& s);
 /// Same contract, on the divide-and-conquer kernel with vertical cuts (the
 /// Triangle configuration the paper selects for the over-decomposed leaves;
 /// ~3x faster than the incremental kernel on pre-sorted points). Returns
-/// only the OWNED triangles, as coordinate triples ready for the merge.
+/// only the OWNED triangles, in kernel order, as index triples into
+/// `s.xsorted`.
+std::vector<std::array<std::uint32_t, 3>> owned_triangles_dc(
+    const Subdomain& s);
+
+/// owned_triangles_dc as coordinate triples.
 std::vector<std::array<Vec2, 3>> triangulate_subdomain_dc(const Subdomain& s);
 
 /// True if this subdomain owns triangle (a, b, c) under its ancestor cuts.

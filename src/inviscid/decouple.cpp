@@ -345,6 +345,17 @@ std::vector<InviscidSubdomain> plus_split(const InviscidSubdomain& sub,
   return children;
 }
 
+std::vector<InviscidSubdomain> decouple_step(const InviscidSubdomain& sub,
+                                             const GradedSizing& sizing,
+                                             double target_triangles,
+                                             int max_level) {
+  if (!sub.hole_segments.empty() || sub.level >= max_level ||
+      sub.estimated_triangles(sizing) <= target_triangles) {
+    return {};
+  }
+  return plus_split(sub, sizing);
+}
+
 std::vector<InviscidSubdomain> decouple_recursive(InviscidSubdomain sub,
                                                   const GradedSizing& sizing,
                                                   double target_triangles,
@@ -355,17 +366,10 @@ std::vector<InviscidSubdomain> decouple_recursive(InviscidSubdomain sub,
   while (!stack.empty()) {
     InviscidSubdomain s = std::move(stack.back());
     stack.pop_back();
-    if (s.level >= max_level ||
-        s.estimated_triangles(sizing) <= target_triangles) {
-      out.push_back(std::move(s));
-      continue;
-    }
-    auto children = plus_split(s, sizing);
-    if (children.empty()) {
-      out.push_back(std::move(s));
-      continue;
-    }
-    for (auto& c : children) stack.push_back(std::move(c));
+    std::vector<InviscidSubdomain> children =
+        decouple_step(s, sizing, target_triangles, max_level);
+    if (children.empty()) out.push_back(std::move(s));
+    for (InviscidSubdomain& c : children) stack.push_back(std::move(c));
   }
   return out;
 }

@@ -61,11 +61,21 @@ std::vector<InviscidSubdomain> initial_quadrants(const InviscidDomain& domain);
 /// inner borders exactly.
 InviscidSubdomain near_body_subdomain(const InviscidDomain& domain);
 
+/// The inviscid tree's one split rule, shared by every walker of the tree:
+/// the '+' children of `sub` (plus_split), or none when `sub` is a leaf -- it
+/// holds body holes (the near-body subdomain stays whole), has reached
+/// `max_level`, is estimated at no more than `target_triangles`, or has no
+/// valid attach points left.
+std::vector<InviscidSubdomain> decouple_step(const InviscidSubdomain& sub,
+                                             const GradedSizing& sizing,
+                                             double target_triangles,
+                                             int max_level);
+
 /// Recursive '+' decoupling of one subdomain: a center point joined to the
 /// existing border point nearest each side midpoint (no new border points,
-/// so neighbors are undisturbed and no communication is needed). Recurses
-/// until the triangle estimate drops below `target_triangles` or no valid
-/// attach points remain.
+/// so neighbors are undisturbed and no communication is needed). A
+/// depth-first walk of decouple_step (children pushed in order, so the last
+/// child's subtree is visited first), returning the leaves in visit order.
 std::vector<InviscidSubdomain> decouple_recursive(InviscidSubdomain sub,
                                                   const GradedSizing& sizing,
                                                   double target_triangles,

@@ -274,7 +274,6 @@ bool JournalWriter::open(const std::string& path, std::uint64_t config_hash,
       file_ = nullptr;
       return false;
     }
-    bytes_ += h.size();
   }
   return true;
 }
@@ -284,31 +283,26 @@ bool JournalWriter::is_open() const {
   return file_ != nullptr && !failed_;
 }
 
-bool JournalWriter::append(std::uint64_t key, const std::uint8_t* prefix,
-                           std::size_t prefix_n, const std::uint8_t* payload,
+bool JournalWriter::append(std::uint64_t key, const std::uint8_t* payload,
                            std::size_t n) {
-  const std::size_t total = prefix_n + n;
-  if (total > kJournalMaxPayload) return false;
+  if (n > kJournalMaxPayload) return false;
   const MutexLock lock(m_);
   if (file_ == nullptr || failed_) {
     ++failures_;
     return false;
   }
-  // Header, prefix, payload, and CRC trailer are written as separate stream
-  // writes -- copying the payload into one contiguous frame would double the
+  // Header, payload, and CRC trailer are written as separate stream writes
+  // -- copying the payload into one contiguous frame would double the
   // journal's memory traffic for nothing, since a torn record is detected by
   // the loader's CRC regardless of how many writes composed it. The CRC
-  // covers key+prefix+payload by chaining the ranges.
+  // covers key+payload by chaining the ranges.
   std::uint8_t head[12];
-  put_u32(head, static_cast<std::uint32_t>(total));
+  put_u32(head, static_cast<std::uint32_t>(n));
   put_u64(head + 4, key);
   std::uint8_t tail[4];
-  put_u32(tail,
-          crc32(payload, n, crc32(prefix, prefix_n, crc32(head + 4, 8))));
+  put_u32(tail, crc32(payload, n, crc32(head + 4, 8)));
   const bool ok =
       std::fwrite(head, 1, sizeof(head), file_) == sizeof(head) &&
-      (prefix_n == 0 ||
-       std::fwrite(prefix, 1, prefix_n, file_) == prefix_n) &&
       (n == 0 || std::fwrite(payload, 1, n, file_) == n) &&
       std::fwrite(tail, 1, sizeof(tail), file_) == sizeof(tail) &&
       std::fflush(file_) == 0;
@@ -317,7 +311,6 @@ bool JournalWriter::append(std::uint64_t key, const std::uint8_t* prefix,
     failed_ = true;
     return false;
   }
-  bytes_ += sizeof(head) + total + sizeof(tail);
   return true;
 }
 
@@ -337,11 +330,6 @@ void JournalWriter::close() {
   if (file_ == nullptr) return;
   if (std::fclose(file_) != 0) ++failures_;
   file_ = nullptr;
-}
-
-std::size_t JournalWriter::bytes_written() const {
-  const MutexLock lock(m_);
-  return bytes_;
 }
 
 std::size_t JournalWriter::write_failures() const {

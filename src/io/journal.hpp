@@ -24,16 +24,16 @@ namespace aero {
 /// `config_hash` is the canonical options+geometry hash of the run that
 /// wrote the journal; a resume against different options is rejected whole.
 /// `key` is the deterministic subdomain content key (runtime/checkpoint),
-/// `payload` an opaque serialized block -- since journal version 2 every
-/// checkpoint payload carries its own "ASUP" tag + version prefix (see
-/// runtime/checkpoint.hpp), so a payload-format change is rejected per
-/// record with a typed status instead of silently mis-decoding. Each record
+/// `payload` an opaque serialized block -- since journal version 3 every
+/// checkpoint and spill payload is a mesh piece in the tagged "AMSH" layout
+/// (core/mesh_view.hpp), so a payload-format change is rejected per record
+/// with a typed MeshBlobStatus instead of silently mis-decoding. Each record
 /// is framed independently so a torn tail -- the normal outcome of a crash
 /// mid-write -- invalidates only the bytes after the last intact record,
 /// never the journal: the loader stops at the first truncated or corrupt
 /// record and reports the discarded byte count.
 
-inline constexpr std::uint32_t kJournalVersion = 2;
+inline constexpr std::uint32_t kJournalVersion = 3;
 
 /// Hard sanity bound on a single record's payload: a corrupt length field
 /// must not become a multi-gigabyte allocation.
@@ -132,21 +132,11 @@ class JournalWriter {
   /// Append one framed record and flush it to the OS so the bytes survive
   /// this process dying. Returns false on any write error.
   [[nodiscard]] bool append(std::uint64_t key, const std::uint8_t* payload,
-                            std::size_t n) {
-    return append(key, nullptr, 0, payload, n);
-  }
-
-  /// Two-span append: `prefix` (a small framing header) then `payload`,
-  /// CRC-chained as one logical record. Lets a caller prepend a payload tag
-  /// without copying the payload into a contiguous buffer first.
-  [[nodiscard]] bool append(std::uint64_t key, const std::uint8_t* prefix,
-                            std::size_t prefix_n, const std::uint8_t* payload,
                             std::size_t n);
 
   [[nodiscard]] bool flush();
   void close();
 
-  std::size_t bytes_written() const;
   std::size_t write_failures() const;
 
  private:
@@ -155,7 +145,6 @@ class JournalWriter {
   mutable Mutex m_ AERO_LOCK_NAME("io.journal", 90, may_block);
   std::FILE* file_ AERO_GUARDED_BY(m_) = nullptr;
   bool failed_ AERO_GUARDED_BY(m_) = false;
-  std::size_t bytes_ AERO_GUARDED_BY(m_) = 0;
   std::size_t failures_ AERO_GUARDED_BY(m_) = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "runtime/checkpoint.hpp"
 
-#include <cstring>
-#include <type_traits>
+#include <utility>
 
 namespace aero {
 
@@ -15,50 +14,15 @@ std::uint64_t subdomain_key(const WorkUnit& unit) {
   return fnv1a(bytes.data() + kSkip, bytes.size() - kSkip - kTrailer);
 }
 
-// A journal record's payload is the raw triangle array: array<Vec2, 3> is
-// trivially copyable and padding-free, the record CRC already guards the
-// bytes, and the wire serializers are native-endian memcpy anyway -- so the
-// checkpoint path writes straight from the mesher's vector with no
-// serialization pass, no allocation, and no extra CRC. (This is what keeps
-// checkpointing's wall overhead marginal: journaling a leaf costs one
-// chained-CRC pass and one stream write of memory that already exists.)
-using Tri = std::array<Vec2, 3>;
-static_assert(std::is_trivially_copyable_v<Tri> &&
-              sizeof(Tri) == 6 * sizeof(double));
-
-MeshBlobStatus soup_status(const std::uint8_t* data, std::size_t len) {
-  if (len < kSoupHeaderSize) return MeshBlobStatus::kTruncated;
-  if (std::memcmp(data, kSoupMagic.data(), kSoupMagic.size()) != 0) {
-    return MeshBlobStatus::kBadMagic;
-  }
-  std::uint32_t version = 0;
-  // Header deframing, not a payload copy.
-  std::memcpy(&version, data + 4, sizeof(version));  // aerolint: allow(payload-copy)
-  if (version != kSoupVersion) return MeshBlobStatus::kBadVersion;
-  if ((len - kSoupHeaderSize) % sizeof(Tri) != 0) {
-    return MeshBlobStatus::kCountMismatch;
-  }
-  return MeshBlobStatus::kOk;
-}
-
 ResumeState::ResumeState(const JournalContents& journal) {
   map_.reserve(journal.records.size());
   for (const JournalRecord& rec : journal.records) {
-    const MeshBlobStatus st = soup_status(rec.payload);
-    if (st != MeshBlobStatus::kOk) {
-      ++decode_failures_;  // CRC-intact but not a current-format soup
-      if (st == MeshBlobStatus::kBadVersion) ++version_rejects_;
+    MeshView piece;
+    if (MeshView::parse(rec.payload, piece) != MeshBlobStatus::kOk) {
+      ++decode_failures_;  // CRC-intact but not a current-format piece
       continue;
     }
-    const std::size_t body = rec.payload.size() - kSoupHeaderSize;
-    std::vector<Tri> tris(body / sizeof(Tri));
-    if (!tris.empty()) {
-      // Decoding journal bytes into the typed vector, not copying a live
-      // payload -- the journal is the owner handoff's far side.
-      std::memcpy(tris.data(),  // aerolint: allow(payload-copy)
-                  rec.payload.data() + kSoupHeaderSize, body);
-    }
-    map_.emplace(rec.key, std::move(tris));
+    map_.emplace(rec.key, std::move(piece));
   }
 }
 
@@ -72,22 +36,13 @@ void CheckpointSink::seed(std::uint64_t key) {
   seen_.insert(key);
 }
 
-bool CheckpointSink::record(std::uint64_t key,
-                            const std::vector<std::array<Vec2, 3>>& tris) {
+bool CheckpointSink::record(std::uint64_t key, const MeshView& piece) {
   {
     const MutexLock lock(m_);
     if (!seen_.insert(key).second) return true;  // already journaled
   }
-  std::uint8_t soup_head[kSoupHeaderSize];
-  // ASUP tag framing (8 bytes), not a payload copy; the triangle bytes
-  // below go to the journal by pointer, never staged through a buffer.
-  std::memcpy(soup_head, kSoupMagic.data(), kSoupMagic.size());  // aerolint: allow(payload-copy)
-  std::memcpy(soup_head + 4, &kSoupVersion, sizeof(kSoupVersion));  // aerolint: allow(payload-copy)
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(tris.data());
-  if (!writer_.append(key, soup_head, sizeof(soup_head), bytes,
-                      tris.size() * sizeof(Tri))) {
-    return false;
-  }
+  const std::vector<std::uint8_t> bytes = piece.serialize();
+  if (!writer_.append(key, bytes.data(), bytes.size())) return false;
   const MutexLock lock(m_);
   ++records_;
   return true;

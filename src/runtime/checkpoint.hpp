@@ -1,38 +1,17 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "core/mesh_view.hpp"  // MeshBlobStatus
+#include "core/mesh_view.hpp"
 #include "core/options_hash.hpp"  // fnv1a, mesh_config_hash
 #include "io/journal.hpp"
-#include "runtime/work.hpp"  // WorkUnit, Vec2
+#include "runtime/work.hpp"
 
 namespace aero {
-
-/// Every checkpoint payload ("triangle soup" of one finalized leaf) carries
-/// its own 8-byte prefix -- "ASUP" tag + u32 format version -- mirroring the
-/// "AMSH" prefix on serialized meshes (core/mesh_view.hpp). The journal's
-/// file-level version guards the framing; this guards the payload encoding,
-/// so a soup-layout change is rejected per record with a typed status
-/// instead of silently mis-decoding into garbage triangles.
-inline constexpr std::array<std::uint8_t, 4> kSoupMagic = {'A', 'S', 'U',
-                                                           'P'};
-inline constexpr std::uint32_t kSoupVersion = 1;
-inline constexpr std::size_t kSoupHeaderSize = 4 + 4;
-
-/// Classify a checkpoint payload: kOk when the tag, version, and triangle
-/// block length all check out (an empty soup is valid). Reuses the
-/// MeshBlobStatus vocabulary so journal and service-cache rejections read
-/// the same way in logs and tests.
-MeshBlobStatus soup_status(const std::uint8_t* data, std::size_t len);
-inline MeshBlobStatus soup_status(const std::vector<std::uint8_t>& payload) {
-  return soup_status(payload.data(), payload.size());
-}
 
 /// Deterministic 64-bit content key of a work unit's subdomain description.
 /// Hashes the serialized form minus the pool-assigned id, the failed_ranks
@@ -49,33 +28,30 @@ inline MeshBlobStatus soup_status(const std::vector<std::uint8_t>& payload) {
 std::uint64_t subdomain_key(const WorkUnit& unit);
 
 /// Completed-subdomain lookup built once from a validated journal and then
-/// read lock-free by every mesher thread. Records whose triangle payload
-/// fails to decode (CRC passed but soup_status rejects the tag, version, or
-/// block length) are skipped and counted, never fatal.
+/// read lock-free by every mesher thread. Each record's payload is the
+/// leaf's mesh piece as an "AMSH" blob; records that MeshView::parse rejects
+/// (the record CRC passed, but the blob is truncated, of another format or
+/// version, or its counts disagree with its length) are skipped and counted,
+/// never fatal.
 class ResumeState {
  public:
   explicit ResumeState(const JournalContents& journal);
 
-  /// The stored triangles for `key`, or nullptr if that subdomain must be
+  /// The stored piece for `key`, or nullptr if that subdomain must be
   /// meshed fresh.
-  const std::vector<std::array<Vec2, 3>>* find(std::uint64_t key) const {
+  const MeshView* find(std::uint64_t key) const {
     const auto it = map_.find(key);
     return it == map_.end() ? nullptr : &it->second;
   }
-  std::size_t size() const { return map_.size(); }
   std::size_t decode_failures() const { return decode_failures_; }
-  /// Subset of decode_failures: intact "ASUP" payloads written by a
-  /// different soup format version.
-  std::size_t version_rejects() const { return version_rejects_; }
 
  private:
-  std::unordered_map<std::uint64_t, std::vector<std::array<Vec2, 3>>> map_;
+  std::unordered_map<std::uint64_t, MeshView> map_;
   std::size_t decode_failures_ = 0;
-  std::size_t version_rejects_ = 0;
 };
 
-/// Thread-safe streaming checkpoint sink: every finalized leaf's triangles
-/// are serialized and appended to the journal as the run progresses. Keys
+/// Thread-safe streaming checkpoint sink: every finalized leaf's piece is
+/// serialized and appended to the journal as the run progresses. Keys
 /// already present in the journal (seeded from a resume load, or recorded
 /// earlier this run) are skipped, so append-to-the-same-file resume chains
 /// never duplicate records. All failures are counted and absorbed: a full
@@ -89,16 +65,14 @@ class CheckpointSink {
   /// Mark `key` as already journaled (from a loaded journal's records).
   void seed(std::uint64_t key);
 
-  /// Serialize and append one finalized subdomain. Returns false only on a
-  /// write error; duplicate keys return true without writing.
-  [[nodiscard]] bool record(std::uint64_t key,
-                            const std::vector<std::array<Vec2, 3>>& tris);
+  /// Serialize and append one finalized subdomain's piece. Returns false
+  /// only on a write error; duplicate keys return true without writing.
+  [[nodiscard]] bool record(std::uint64_t key, const MeshView& piece);
 
   [[nodiscard]] bool flush() { return writer_.flush(); }
   void close() { writer_.close(); }
 
   std::size_t records() const;
-  std::size_t bytes() const { return writer_.bytes_written(); }
   std::size_t failures() const { return writer_.write_failures(); }
 
  private:

@@ -1,11 +1,10 @@
 #include "runtime/cluster_model.hpp"
 
-#include "core/pipeline_config.hpp"
-
 #include <algorithm>
 #include <map>
 #include <queue>
 
+#include "core/pipeline_config.hpp"
 #include "core/timer.hpp"
 #include "runtime/work.hpp"
 
@@ -13,42 +12,37 @@ namespace aero {
 
 namespace {
 
-/// Expand `unit` and its descendants depth-first through the pool's
-/// split/mesh rules (expand_unit), timing one expand_unit call per node.
-/// Leaf triangles go to `mesh` when it is non-null (the interface
-/// extraction needs the assembled boundary layer).
-std::size_t instrument(const WorkUnit& unit, const GradedSizing& sizing,
-                       const Options& opts, TaskGraph& graph,
-                       MergedMesh* mesh) {
+/// The timing walker: expand `unit` and its descendants depth-first through
+/// expand_unit (child 0's subtree first, so node ids are a pre-order),
+/// timing each call as one task node. Leaf pieces are appended to `out`.
+std::size_t instrument(WorkUnit unit, const GradedSizing& sizing,
+                       const TreeRules& rules, TaskGraph& graph,
+                       MergedMesh& out) {
   const std::size_t id = graph.nodes.size();
   graph.nodes.emplace_back();
   graph.nodes[id].bytes = serialized_size(unit);
   graph.nodes[id].cost_estimate = unit.cost(sizing);
+  const bool bl = unit.kind == WorkUnit::Kind::kBlDecompose;
+  const bool near_body = !bl && !unit.inv.hole_segments.empty();
 
   std::vector<WorkUnit> children;
-  std::vector<std::array<Vec2, 3>> triangles;
+  MeshView piece;
   const Timer timer;
-  expand_unit(unit, sizing, bl_decompose_options(opts),
-              opts.inviscid_target_triangles, opts.inviscid_max_level,
-              /*refine_threads=*/1, children, triangles);
+  expand_unit(std::move(unit), sizing, rules, children, piece);
   graph.nodes[id].seconds = timer.seconds();
-  if (unit.kind == WorkUnit::Kind::kBlDecompose) {
+  if (bl) {
     graph.nodes[id].label = children.empty() ? "bl-leaf" : "bl-split";
   } else if (!children.empty()) {
     graph.nodes[id].label = "inviscid-split";
   } else {
-    graph.nodes[id].label =
-        unit.inv.hole_segments.empty() ? "inviscid-leaf" : "near-body";
+    graph.nodes[id].label = near_body ? "near-body" : "inviscid-leaf";
   }
-  if (mesh != nullptr) {
-    for (const auto& tri : triangles) {
-      mesh->add_triangle(tri[0], tri[1], tri[2]);
-    }
-  }
-  for (const WorkUnit& c : children) {
+  out.append(piece);
+  for (WorkUnit& c : children) {
     // The recursive call may reallocate graph.nodes: take the child id
     // first, then re-access the node.
-    const std::size_t child = instrument(c, sizing, opts, graph, mesh);
+    const std::size_t child =
+        instrument(std::move(c), sizing, rules, graph, out);
     graph.nodes[id].children.push_back(child);
   }
   return id;
@@ -58,42 +52,30 @@ std::size_t instrument(const WorkUnit& unit, const GradedSizing& sizing,
 
 TaskGraph build_task_graph(const Options& opts) {
   TaskGraph graph;
-
-  Timer serial0;
-  BoundaryLayer bl = build_boundary_layer(opts.airfoil, blayer_options(opts));
-  graph.serial_before.push_back(0.0);
-  graph.distributable_before.push_back(serial0.seconds());
-
-  // Boundary-layer units never read the sizing.
-  MergedMesh mesh;
-  GradedSizing placeholder;
-  std::vector<std::size_t> phase0;
-  phase0.push_back(instrument(
-      WorkUnit{WorkUnit::Kind::kBlDecompose, make_root_subdomain(bl.points),
-               {}},
-      placeholder, opts, graph, &mesh));
-  graph.phases.push_back(std::move(phase0));
-
-  // Serial inter-phase work: ring restriction + interface extraction.
-  Timer serial1;
-  restrict_to_ring(mesh, bl);
-  const InviscidDomain domain = make_inviscid_domain(bl, opts, mesh);
-  graph.serial_before.push_back(0.0);
-  graph.distributable_before.push_back(serial1.seconds());
-
-  std::vector<WorkUnit> roots;
-  for (InviscidSubdomain& quad : initial_quadrants(domain)) {
-    roots.push_back(
-        WorkUnit{WorkUnit::Kind::kInviscidDecouple, {}, std::move(quad)});
-  }
-  roots.push_back(WorkUnit{WorkUnit::Kind::kInviscidDecouple,
-                           {},
-                           near_body_subdomain(domain)});
-  std::vector<std::size_t> phase1;
-  for (const WorkUnit& root : roots) {
-    phase1.push_back(instrument(root, domain.sizing, opts, graph, nullptr));
-  }
-  graph.phases.push_back(std::move(phase1));
+  TreeRules rules = tree_rules(opts);
+  rules.refine_threads = 1;  // single-core task costs
+  StageResult stages;
+  run_stages(
+      opts,
+      [&](TreePhase, std::vector<WorkUnit> roots, const GradedSizing& sizing,
+          MergedMesh& out) {
+        std::vector<std::size_t> phase;
+        for (WorkUnit& root : roots) {
+          phase.push_back(
+              instrument(std::move(root), sizing, rules, graph, out));
+        }
+        graph.phases.push_back(std::move(phase));
+        return RunStatus::kOk;
+      },
+      stages);
+  // Ray generation before the first phase, and the ring restriction plus
+  // interface extraction between the phases, are data-parallel in the
+  // paper's implementation.
+  const PhaseTimings& t = stages.timings;
+  graph.serial_before = {0.0, 0.0};
+  graph.distributable_before = {
+      t.seconds("boundary_layer_points"),
+      t.seconds("ring_restriction") + t.seconds("inviscid_layout")};
   return graph;
 }
 

@@ -46,9 +46,11 @@ struct TaskGraph {
   }
 };
 
-/// Build the measured task graph by running the full pipeline sequentially
-/// with per-task timers: boundary-layer splits and leaf triangulations,
-/// inviscid '+' splits and refinements (near-body included).
+/// Build the measured task graph by running the pipeline's stage sequence
+/// (run_stages) with a timing walker as its phase runner: every expand_unit
+/// call -- boundary-layer splits and leaf triangulations, inviscid '+'
+/// splits and refinements (near-body included) -- becomes one task node
+/// with its measured single-core seconds.
 TaskGraph build_task_graph(const Options& opts);
 
 /// Interconnect and scheduling parameters of the simulated cluster

@@ -22,7 +22,7 @@ enum MsgTag : int {
   kTagWorkTransfer = 2,  ///< serialized subdomain payload
   kTagNoWork = 3,        ///< request denied (nothing spare)
   kTagShutdown = 4,      ///< global termination
-  kTagResult = 5,        ///< triangle soup gathered to the root
+  kTagResult = 5,        ///< a rank's mesh piece gathered to the root
   kTagWorkAck = 6,       ///< acknowledges a work transfer (payload: nonce)
   kTagFaultRetry = 7,    ///< unit re-queued away from a failing rank
   kTagResultAck = 8,     ///< root acknowledges a rank's result payload

@@ -22,7 +22,6 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   obs::apply(trace_config(opts));
   AERO_TRACE_THREAD("driver", -1);
   AERO_TRACE_SPAN("pipeline", "parallel_generate_mesh");
-  Timer total;
 
   // -- Resume load + checkpoint sink ---------------------------------------
   // Nothing in this block is ever fatal: a missing, corrupt, or mismatched
@@ -65,18 +64,6 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
     }
   }
 
-  Timer t1;
-  {
-    AERO_TRACE_SPAN("pipeline", "boundary_layer_points");
-    result.boundary_layer =
-        build_boundary_layer(opts.airfoil, blayer_options(opts));
-  }
-  result.timings.record("boundary_layer_points", t1.seconds());
-  if (opts.phase_hook) {
-    opts.phase_hook("boundary_layer",
-                      PhaseArtifacts{&result.boundary_layer, nullptr});
-  }
-
   PoolOptions pool_opts;
   pool_opts.nranks = nranks;
   pool_opts.bl_decompose = bl_decompose_options(opts);
@@ -93,94 +80,34 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   pool_opts.merge_resident_bytes =
       static_cast<std::size_t>(opts.merge_resident_mb) << 20;
 
-  // Aggregate both passes' resilience stats into the summary (the BL-only
-  // early return below uses it too).
-  const auto fill_summary = [&result, &cs, &sink] {
-    const PoolStats& bl = result.bl_pool;
-    const PoolStats& inv = result.inviscid_pool;
-    cs.resumed_units = bl.resumed_units + inv.resumed_units;
-    cs.checkpointed_units = bl.checkpointed_units + inv.checkpointed_units;
-    cs.checkpoint_failures = bl.checkpoint_failures + inv.checkpoint_failures;
-    cs.units_total = bl.units_total + inv.units_total;
-    cs.units_done = bl.units_done + inv.units_done;
-    cs.stop_cause =
-        bl.stop_cause != StopCause::kNone ? bl.stop_cause : inv.stop_cause;
-    // A failed flush leaves the journal short its tail records; the sink's
-    // own failure counter already feeds cs.checkpoint_failures upstream, so
-    // surface the event and carry on -- checkpointing never fails the run.
-    if (sink.is_open() && !sink.flush()) {
-      AERO_TRACE_INSTANT("pipeline", "checkpoint_flush_failed");
-    }
-  };
+  run_stages(
+      opts,
+      [&](TreePhase phase, std::vector<WorkUnit> roots,
+          const GradedSizing& sizing, MergedMesh& out) {
+        const bool bl = phase == TreePhase::kBoundaryLayer;
+        PoolStats& stats = bl ? result.bl_pool : result.inviscid_pool;
+        stats = run_pool(std::move(roots), sizing, pool_opts, out);
+        publish_pool_metrics(stats, bl ? "pool.bl." : "pool.inviscid.");
+        return stats.status;
+      },
+      result);
 
-  // Phase 1 pool: boundary-layer decomposition + triangulation. The sizing
-  // is not needed by BL units; pass a placeholder.
-  Timer t2;
-  GradedSizing placeholder;
-  {
-    AERO_TRACE_SPAN("pipeline", "boundary_layer_pool");
-    std::vector<WorkUnit> initial;
-    initial.push_back(WorkUnit{WorkUnit::Kind::kBlDecompose,
-                               make_root_subdomain(result.boundary_layer.points),
-                               {}});
-    result.bl_pool =
-        run_pool(std::move(initial), placeholder, pool_opts, result.mesh);
-    if (result.bl_pool.status != RunStatus::kStopped) {
-      // Ring restriction on the gathered mesh (root side).
-      restrict_to_ring(result.mesh, result.boundary_layer);
-    }
+  // Aggregate both passes' resilience stats into the summary.
+  const PoolStats& bl = result.bl_pool;
+  const PoolStats& inv = result.inviscid_pool;
+  cs.resumed_units = bl.resumed_units + inv.resumed_units;
+  cs.checkpointed_units = bl.checkpointed_units + inv.checkpointed_units;
+  cs.checkpoint_failures = bl.checkpoint_failures + inv.checkpoint_failures;
+  cs.units_total = bl.units_total + inv.units_total;
+  cs.units_done = bl.units_done + inv.units_done;
+  cs.stop_cause =
+      bl.stop_cause != StopCause::kNone ? bl.stop_cause : inv.stop_cause;
+  // A failed flush leaves the journal short its tail records; the sink's
+  // own failure counter already feeds cs.checkpoint_failures upstream, so
+  // surface the event and carry on -- checkpointing never fails the run.
+  if (sink.is_open() && !sink.flush()) {
+    AERO_TRACE_INSTANT("pipeline", "checkpoint_flush_failed");
   }
-  publish_pool_metrics(result.bl_pool, "pool.bl.");
-  result.timings.record("boundary_layer_pool", t2.seconds());
-  if (result.bl_pool.status == RunStatus::kStopped) {
-    // Drained mid-boundary-layer. The gathered subdomain triangulations form
-    // a valid conformal sub-mesh, but ring restriction and the interface
-    // extraction both assume full cloud coverage, so the run ends here: raw
-    // partial BL mesh out, journal flushed, remainder resumable.
-    fill_summary();
-    result.status = RunStatus::kStopped;
-    result.timings.record("total", total.seconds());
-    return result;
-  }
-  if (opts.phase_hook) {
-    opts.phase_hook("boundary_layer_mesh",
-                      PhaseArtifacts{&result.boundary_layer, &result.mesh});
-  }
-
-  // Interface + inviscid layout.
-  Timer t3;
-  const InviscidDomain domain = [&] {
-    AERO_TRACE_SPAN("pipeline", "inviscid_layout");
-    return make_inviscid_domain(result.boundary_layer, opts, result.mesh);
-  }();
-  result.sizing = domain.sizing;
-  result.timings.record("inviscid_layout", t3.seconds());
-
-  // Phase 2 pool: inviscid decoupling + refinement.
-  Timer t4;
-  {
-    AERO_TRACE_SPAN("pipeline", "inviscid_pool");
-    std::vector<WorkUnit> initial;
-    for (InviscidSubdomain& quad : initial_quadrants(domain)) {
-      initial.push_back(
-          WorkUnit{WorkUnit::Kind::kInviscidDecouple, {}, std::move(quad)});
-    }
-    initial.push_back(WorkUnit{WorkUnit::Kind::kInviscidDecouple,
-                               {},
-                               near_body_subdomain(domain)});
-    result.inviscid_pool =
-        run_pool(std::move(initial), domain.sizing, pool_opts, result.mesh);
-  }
-  publish_pool_metrics(result.inviscid_pool, "pool.inviscid.");
-  result.timings.record("inviscid_pool", t4.seconds());
-  if (opts.phase_hook) {
-    opts.phase_hook("final_mesh",
-                      PhaseArtifacts{&result.boundary_layer, &result.mesh});
-  }
-
-  fill_summary();
-  result.status = worse(result.bl_pool.status, result.inviscid_pool.status);
-  result.timings.record("total", total.seconds());
   return result;
 }
 

@@ -46,29 +46,25 @@ struct CheckpointSummary {
   StopCause stop_cause = StopCause::kNone;  ///< why a kStopped run drained
 };
 
-/// Result of a parallel (in-process rank pool) mesh generation run.
-struct ParallelMeshResult {
-  MergedMesh mesh;
-  BoundaryLayer boundary_layer;
-  GradedSizing sizing;
+/// Result of a parallel (in-process rank pool) mesh generation run. Its
+/// `status` is the worst outcome across the two pool passes: kOk when the
+/// mesh is complete, kStopped when a budget/stop drained the run (valid
+/// partial mesh, resumable journal), kPartial/kFailed when a pool lost
+/// results or hit the watchdog bound.
+struct ParallelMeshResult : StageResult {
   PoolStats bl_pool;
   PoolStats inviscid_pool;
-  PhaseTimings timings;
   /// Completeness + checkpoint/resume accounting across both passes.
   CheckpointSummary resilience;
-  /// Worst outcome across the two pool passes: kOk when the mesh is
-  /// complete, kStopped when a budget/stop drained the run (valid partial
-  /// mesh, resumable journal), kPartial/kFailed when a pool lost results or
-  /// hit the watchdog bound.
-  RunStatus status = RunStatus::kOk;
 };
 
 /// The push-button pipeline with the subdomain work distributed over an
-/// in-process rank pool (the MPI-substitute runtime): boundary-layer
-/// decomposition+triangulation in one pool pass, then inviscid
-/// decoupling+refinement in a second pass (the interface between them is
-/// extracted from the assembled boundary-layer mesh, which is the one global
-/// synchronization point of the pipeline).
+/// in-process rank pool (the MPI-substitute runtime): run_stages with
+/// run_pool as the phase runner, so boundary-layer decomposition and
+/// triangulation run in one pool pass and inviscid decoupling and refinement
+/// in a second (the interface between them is extracted from the assembled
+/// boundary-layer mesh, which is the one global synchronization point of the
+/// pipeline).
 ///
 /// `faults` configures the chaos fabric for the run (disabled by default);
 /// the fault-*tolerance* machinery (CRC framing, acked transfers, watchdog)

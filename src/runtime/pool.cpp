@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
@@ -36,13 +35,14 @@ struct RankState {
   /// Units that exhausted this rank's retries, awaiting a reliable re-queue
   /// to another rank (drained by the communicator thread).
   std::vector<WorkUnit> retry_outbox AERO_GUARDED_BY(m);
-  /// Not lock-guarded: owned by the mesher thread until it observes
-  /// `shutdown` (set under `m`, which orders the hand-off), then read by the
+  /// This rank's non-empty leaf pieces, in completion order. Not
+  /// lock-guarded: owned by the mesher thread until it observes `shutdown`
+  /// (set under `m`, which orders the hand-off), then read by the
   /// communicator thread for the result gather.
-  std::vector<std::array<Vec2, 3>> triangles;
+  std::vector<MeshView> pieces;
   std::size_t tasks_done = 0;
 
-  /// Load accounting with the same ownership discipline as `triangles`: the
+  /// Load accounting with the same ownership discipline as `pieces`: the
   /// mesher thread writes busy_seconds, the communicator thread writes the
   /// rest, and run_pool reads them only after the threads join.
   double busy_seconds = 0.0;   ///< mesher time spent inside units
@@ -57,7 +57,7 @@ struct RankState {
   /// Injected process crash: both of this rank's threads exit silently.
   std::atomic<bool> crashed AERO_ATOMIC_ROLE(flag){false};
   /// Set when the mesher thread returns (any path). A draining communicator
-  /// waits on it before reading `triangles` for the result gather.
+  /// waits on it before reading `pieces` for the result gather.
   std::atomic<bool> mesher_exited AERO_ATOMIC_ROLE(flag){false};
 };
 
@@ -121,10 +121,10 @@ struct SharedState {
   Mutex fallback_m AERO_LOCK_NAME("pool.fallback", 20);
   std::vector<WorkUnit> fallback AERO_GUARDED_BY(fallback_m);
 
-  /// Result gather, keyed by sender rank (deduplicates resends).
+  /// Result gather: each rank's concatenated piece, keyed by sender rank
+  /// (deduplicates resends).
   Mutex results_m AERO_LOCK_NAME("pool.results", 30);
-  std::map<int, std::vector<std::array<Vec2, 3>>> results
-      AERO_GUARDED_BY(results_m);
+  std::map<int, MeshView> results AERO_GUARDED_BY(results_m);
 
   /// Out-of-core finalization (see PoolOptions::spill_dir). `spilling` and
   /// `spill_path` are decided once before any worker thread starts; the
@@ -140,12 +140,13 @@ struct SharedState {
   std::atomic<std::size_t> spill_max_record AERO_ATOMIC_ROLE(counter){0};
   std::atomic<std::size_t> spill_failures AERO_ATOMIC_ROLE(counter){0};
   Mutex overflow_m AERO_LOCK_NAME("pool.spill_overflow", 35);
-  std::map<std::uint64_t, std::vector<std::array<Vec2, 3>>> spill_overflow
-      AERO_GUARDED_BY(overflow_m);
+  std::map<std::uint64_t, MeshView> spill_overflow AERO_GUARDED_BY(overflow_m);
 
   std::chrono::steady_clock::time_point deadline;
   const GradedSizing* sizing = nullptr;
   const PoolOptions* opts = nullptr;
+  /// The tree's split/mesh rules, from this pool's decomposition values.
+  TreeRules rules;
 
   explicit SharedState(const PoolOptions& o)
       : comm(o.nranks),
@@ -175,44 +176,79 @@ void trace_event(SharedState& shared, ProtocolEvent::Kind kind,
   }
 }
 
-/// Spill-record key of a finalized block. Root blocks (rank 0's own leaves,
+/// Spill-record key of a finalized piece. Root pieces (rank 0's own leaves,
 /// resume replays, fallback output) take (0 << 32) | seq with seq in append
-/// order; rank r's single gathered soup takes (r << 32). Sorting all keys
+/// order; rank r's single gathered piece takes (r << 32). Sorting all keys
 /// ascending therefore replays exactly the in-RAM merge order -- rank 0's
-/// triangles in append order, then each rank's soup rank-ascending -- which
+/// pieces in append order, then each rank's piece rank-ascending -- which
 /// is what keeps the spill-merged mesh bit-identical to the resident one.
 std::uint64_t spill_rank_key(int rank) {
   return static_cast<std::uint64_t>(rank) << 32;
 }
 
-/// Stream one finalized triangle block to the root's spill journal under
-/// `key`, tagged with the same "ASUP" prefix as checkpoint soups. A write
-/// failure (disk full, torn mount) degrades the block to the resident
-/// overflow map -- out-of-core finalization is an optimization, never a
-/// correctness dependency.
-void spill_block(SharedState& shared, std::uint64_t key,
-                 std::vector<std::array<Vec2, 3>> tris) {
-  if (tris.empty()) return;
-  std::uint8_t soup_head[kSoupHeaderSize];
-  // ASUP tag framing (8 bytes), not a payload copy; the triangle bytes go
-  // to the spill journal by pointer.
-  std::memcpy(soup_head, kSoupMagic.data(), kSoupMagic.size());  // aerolint: allow(payload-copy)
-  std::memcpy(soup_head + 4, &kSoupVersion, sizeof(kSoupVersion));  // aerolint: allow(payload-copy)
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(tris.data());
-  const std::size_t n = tris.size() * sizeof(std::array<Vec2, 3>);
-  if (shared.spill.append(key, soup_head, sizeof(soup_head), bytes, n)) {
+/// Stream one finalized piece to the root's spill journal under `key`, as
+/// its "AMSH" blob (the checkpoint record form). A write failure (disk full,
+/// torn mount) degrades the piece to the resident overflow map --
+/// out-of-core finalization is an optimization, never a correctness
+/// dependency.
+void spill_piece(SharedState& shared, std::uint64_t key, MeshView piece) {
+  if (piece.triangle_count() == 0) return;
+  const std::vector<std::uint8_t> bytes = piece.serialize();
+  if (shared.spill.append(key, bytes.data(), bytes.size())) {
     shared.spill_records.fetch_add(1);
-    shared.spill_payload_bytes.fetch_add(n + sizeof(soup_head));
-    const std::size_t record = n + sizeof(soup_head);
+    shared.spill_payload_bytes.fetch_add(bytes.size());
     std::size_t prev = shared.spill_max_record.load();
-    while (prev < record &&
-           !shared.spill_max_record.compare_exchange_weak(prev, record)) {
+    while (prev < bytes.size() &&
+           !shared.spill_max_record.compare_exchange_weak(prev, bytes.size())) {
     }
     return;
   }
   shared.spill_failures.fetch_add(1);
   const MutexLock lock(shared.overflow_m);
-  shared.spill_overflow.emplace(key, std::move(tris));
+  shared.spill_overflow.emplace(key, std::move(piece));
+}
+
+/// Checkpoint/resume identity of `unit`, or 0 when neither is active. The
+/// key hashes the unit's *content* (id and fault history excluded), so a
+/// leaf finished by a previous interrupted run is recognized no matter
+/// which rank or schedule produced it.
+std::uint64_t journal_key(const PoolOptions& opts, const WorkUnit& unit) {
+  return opts.checkpoint != nullptr || opts.resume != nullptr
+             ? subdomain_key(unit)
+             : 0;
+}
+
+/// Keep a finalized leaf's piece. It is journaled first when checkpointing,
+/// so a crash right after loses nothing (a failed append is absorbed: the
+/// run continues unjournaled and the sink counts the failure). Then rank 0
+/// spills it when spilling; otherwise the rank holds it until the gather.
+/// Empty pieces are not held, so a rank holding none meshed nothing.
+void keep_leaf(SharedState& shared, RankState& rs, int rank,
+               std::uint64_t key, MeshView piece) {
+  CheckpointSink* sink = shared.opts->checkpoint;
+  if (sink != nullptr && !sink->record(key, piece)) {
+    AERO_TRACE_INSTANT_ARG("pool", "checkpoint_write_failed", key);
+  }
+  if (rank == 0 && shared.spilling) {
+    spill_piece(shared, shared.spill_seq.fetch_add(1), std::move(piece));
+  } else if (piece.triangle_count() > 0) {
+    rs.pieces.push_back(std::move(piece));
+  }
+}
+
+/// Replay the leaf `key` names when a previous run journaled it; false when
+/// the unit must be meshed. Re-recording the stored piece keeps a fresh
+/// journal complete, and is a no-op when appending to the journal it came
+/// from.
+bool replay_resumed(SharedState& shared, RankState& rs, int rank,
+                    std::uint64_t key) {
+  const ResumeState* resume = shared.opts->resume;
+  const MeshView* stored = resume != nullptr ? resume->find(key) : nullptr;
+  if (stored == nullptr) return false;
+  keep_leaf(shared, rs, rank, key, *stored);
+  shared.resumed.fetch_add(1);
+  shared.completed.fetch_add(1);
+  return true;
 }
 
 /// A transfer sent but not yet acknowledged. `frame` is the 37-byte control
@@ -303,16 +339,6 @@ void complete_unit(SharedState& shared) {
   }
 }
 
-/// Expand one unit through the shared split/mesh rules (work.hpp) with this
-/// pool's decomposition values.
-void expand(const GradedSizing& sizing, const PoolOptions& opts,
-            const WorkUnit& unit, std::vector<WorkUnit>& children,
-            std::vector<std::array<Vec2, 3>>& triangles) {
-  expand_unit(unit, sizing, opts.bl_decompose, opts.inviscid_target_triangles,
-              opts.inviscid_max_level, opts.tuning.threads_per_rank, children,
-              triangles);
-}
-
 /// First rank (other than `self`) that has not already failed this unit and
 /// is not known dead; -1 when the unit has nowhere left to go.
 int pick_retry_rank(const SharedState& shared, int self, std::uint64_t mask) {
@@ -327,7 +353,7 @@ int pick_retry_rank(const SharedState& shared, int self, std::uint64_t mask) {
 
 /// Process one unit on `rank` with exception containment: a throwing
 /// attempt is retried locally, then re-queued to another rank, then
-/// escalated to the root-side sequential fallback. Triangles and children
+/// escalated to the root-side sequential fallback. The piece and children
 /// are committed only after a successful attempt, so a mid-expansion throw
 /// never leaks partial output.
 void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
@@ -335,48 +361,27 @@ void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
   RankState& rs = ranks[static_cast<std::size_t>(rank)];
   const PoolOptions& opts = *shared.opts;
 
-  // Checkpoint/resume identity. The key hashes the unit's *content* (id and
-  // fault history excluded), so a leaf finished by a previous interrupted
-  // run is recognized here no matter which rank or schedule produced it.
-  std::uint64_t key = 0;
-  if (opts.checkpoint != nullptr || opts.resume != nullptr) {
-    key = subdomain_key(unit);
-  }
-  if (opts.resume != nullptr) {
-    if (const auto* stored = opts.resume->find(key)) {
-      if (rank == 0 && shared.spilling) {
-        spill_block(shared, shared.spill_seq.fetch_add(1), *stored);
-      } else {
-        rs.triangles.insert(rs.triangles.end(), stored->begin(),
-                            stored->end());
-      }
-      ++rs.tasks_done;
-      shared.resumed.fetch_add(1);
-      shared.completed.fetch_add(1);
-      if (opts.checkpoint != nullptr) {
-        // Re-record into the active journal (a no-op when appending to the
-        // journal the record came from; keeps a fresh journal complete).
-        opts.checkpoint->record(key, *stored);
-      }
-      AERO_TRACE_INSTANT_ARG("pool", "resume_hit", unit.id);
-      trace_event(shared, ProtocolEvent::Kind::kUnitCompleted, unit.id, rank);
-      complete_unit(shared);
-      return;
-    }
+  const std::uint64_t key = journal_key(opts, unit);
+  if (replay_resumed(shared, rs, rank, key)) {
+    ++rs.tasks_done;
+    AERO_TRACE_INSTANT_ARG("pool", "resume_hit", unit.id);
+    trace_event(shared, ProtocolEvent::Kind::kUnitCompleted, unit.id, rank);
+    complete_unit(shared);
+    return;
   }
 
   std::vector<WorkUnit> children;
-  std::vector<std::array<Vec2, 3>> triangles;
+  MeshView piece;
   bool ok = false;
   for (int attempt = 0; attempt <= opts.max_unit_retries; ++attempt) {
     if (attempt > 0) shared.unit_retries.fetch_add(1);
     children.clear();
-    triangles.clear();
+    piece = MeshView{};
     try {
       if (shared.injector.unit_should_fail(unit.id)) {
         throw std::runtime_error("injected unit fault");
       }
-      expand(*shared.sizing, opts, unit, children, triangles);
+      expand_unit(unit, *shared.sizing, shared.rules, children, piece);
       ok = true;
       break;
     } catch (...) {
@@ -394,18 +399,8 @@ void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
         trace_event(shared, ProtocolEvent::Kind::kUnitCreated, c.id, rank);
         push_local(shared, rs, std::move(c));
       }
-    } else if (opts.checkpoint != nullptr &&
-               !opts.checkpoint->record(key, triangles)) {
-      // The leaf is journaled BEFORE it is counted complete, so a crash
-      // right after loses nothing. A failed append is absorbed: the run
-      // continues unjournaled and the sink counts the failure.
-      AERO_TRACE_INSTANT_ARG("pool", "checkpoint_write_failed", unit.id);
-    }
-    if (rank == 0 && shared.spilling) {
-      spill_block(shared, shared.spill_seq.fetch_add(1), std::move(triangles));
     } else {
-      rs.triangles.insert(rs.triangles.end(), triangles.begin(),
-                          triangles.end());
+      keep_leaf(shared, rs, rank, key, std::move(piece));
     }
     ++rs.tasks_done;
     shared.completed.fetch_add(1);
@@ -514,9 +509,9 @@ void root_accept_result(SharedState& shared, const Message& msg) {
     }
     trace_event(shared, ProtocolEvent::Kind::kWindowTaken, parsed->nonce, 0,
                 from);
-    std::vector<std::array<Vec2, 3>> tris;
+    MeshView piece;
     try {
-      tris = deserialize_triangles(bytes->data(), bytes->size());
+      piece = deserialize_piece(bytes->data(), bytes->size());
     } catch (const std::exception&) {
       shared.crc_failures.fetch_add(1);
       return;
@@ -528,21 +523,17 @@ void root_accept_result(SharedState& shared, const Message& msg) {
     bool accepted = false;
     {
       MutexLock lock(shared.results_m);
-      if (shared.spilling) {
-        // Presence marker only: the triangles go to the spill file, while
-        // the empty vector keeps the nonce dedupe and the missing-results
-        // accounting exactly as in the resident path.
-        accepted =
-            shared.results
-                .emplace(from, std::vector<std::array<Vec2, 3>>{})
-                .second;
-      } else {
-        accepted = shared.results.emplace(from, std::move(tris)).second;
-      }
+      // When spilling, an empty view is a presence marker only: the piece
+      // goes to the spill file, while the marker keeps the nonce dedupe and
+      // the missing-results accounting exactly as in the resident path.
+      accepted = shared.results
+                     .emplace(from, shared.spilling ? MeshView{}
+                                                    : std::move(piece))
+                     .second;
       if (accepted) shared.result_bytes.fetch_add(logical_bytes);
     }
     if (accepted && shared.spilling) {
-      spill_block(shared, spill_rank_key(from), std::move(tris));
+      spill_piece(shared, spill_rank_key(from), std::move(piece));
     }
     trace_event(shared, ProtocolEvent::Kind::kAccept, parsed->nonce, 0, from);
   } else {
@@ -825,7 +816,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   rs.cv.notify_all();
 
   // Under a drain the mesher may still be inside its final unit, appending
-  // to rs.triangles. The normal path orders that hand-off through
+  // to rs.pieces. The normal path orders that hand-off through
   // `outstanding` reaching zero before shutdown; a drain bypasses it, so
   // wait for the mesher thread to exit before the gather reads the list.
   while (shared.drain.load() && !rs.mesher_exited.load() &&
@@ -835,7 +826,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   }
 
   if (rank == 0) {
-    // Bounded result gather: wait for every live rank's soup, re-acking
+    // Bounded result gather: wait for every live rank's piece, re-acking
     // resends, until the watchdog deadline.
     AERO_TRACE_SPAN("pool", "gather");
     while (!shared.abort.load()) {
@@ -865,13 +856,14 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   } else {
     // Reliable result send: resend until the root acks ("the points are
     // gathered at the root process"), bounded by the retransmit cap. The
-    // soup is published into this rank's window like a work transfer; only
-    // the control frame is (re)sent.
+    // rank's pieces travel as one concatenated piece, published into this
+    // rank's window like a work transfer; only the control frame is
+    // (re)sent.
     AERO_TRACE_SPAN("pool", "send_results");
     constexpr int kMaxResultTries = 64;
-    const Published sent =
-        publish_and_send(shared, rank, 0, kTagResult,
-                         serialize_triangles(rs.triangles, &shared.buffers));
+    const Published sent = publish_and_send(
+        shared, rank, 0, kTagResult,
+        serialize_piece(MeshView::concat(rs.pieces), &shared.buffers));
     const std::uint64_t nonce = sent.nonce;
     auto deadline = mono_now() + opts.tuning.ack_timeout;
     int tries = 0;
@@ -1080,15 +1072,14 @@ std::string claim_spill_path(const std::string& dir) {
 }
 
 /// Out-of-core finalization: seal the spill journal, index it with the
-/// bounded-memory scanner, and replay every block into `out` in global key
+/// bounded-memory scanner, and append every piece to `out` in global key
 /// order, loading at most `merge_resident_bytes` of payload at a time (one
-/// record minimum, so an oversized block still merges). Blocks that
+/// record minimum, so an oversized piece still merges). Pieces that
 /// overflowed to RAM on a spill-write failure are interleaved at their key
 /// position, so the merged order is identical to the resident path's.
 void merge_spilled(SharedState& shared, const PoolOptions& opts,
                    MergedMesh& out, PoolStats& stats,
                    std::size_t& lost_units) {
-  using Tri = std::array<Vec2, 3>;
   if (!shared.spill.flush()) {
     AERO_TRACE_INSTANT("pool", "spill_flush_failed");
   }
@@ -1099,7 +1090,7 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
             [](const JournalFrame& a, const JournalFrame& b) {
               return a.key < b.key;
             });
-  // A torn tail (disk full mid-append) drops whole blocks; surface the loss
+  // A torn tail (disk full mid-append) drops whole pieces; surface the loss
   // through the same accounting as an unmeshable unit so the run reports
   // kPartial instead of a silently thinner mesh.
   const std::size_t written = shared.spill_records.load();
@@ -1107,18 +1098,14 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
     lost_units += written - index.frames.size();
   }
 
-  std::map<std::uint64_t, std::vector<Tri>> overflow;
+  std::map<std::uint64_t, MeshView> overflow;
   {
     const MutexLock lock(shared.overflow_m);
     overflow.swap(shared.spill_overflow);
   }
   auto ov = overflow.begin();
   const auto emit_overflow_below = [&](std::uint64_t key) {
-    for (; ov != overflow.end() && ov->first < key; ++ov) {
-      for (const Tri& tri : ov->second) {
-        out.add_triangle(tri[0], tri[1], tri[2]);
-      }
-    }
+    for (; ov != overflow.end() && ov->first < key; ++ov) out.append(ov->second);
   };
 
   JournalReader reader;
@@ -1142,7 +1129,7 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
     std::size_t resident = 0;
     for (std::size_t k = fi; k < fj; ++k) {
       if (!reader_ok || !reader.read(index.frames[k], loaded[k - fi])) {
-        loaded[k - fi].clear();  // torn between scan and read; block lost
+        loaded[k - fi].clear();  // torn between scan and read; piece lost
         ++lost_units;
         continue;
       }
@@ -1156,30 +1143,16 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
       emit_overflow_below(index.frames[k].key);
       const std::vector<std::uint8_t>& payload = loaded[k - fi];
       if (payload.empty()) continue;  // read failure, counted above
-      if (soup_status(payload) != MeshBlobStatus::kOk) {
+      MeshView piece;
+      if (MeshView::parse(payload, piece) != MeshBlobStatus::kOk) {
         ++lost_units;
         continue;
       }
-      const std::uint8_t* body = payload.data() + kSoupHeaderSize;
-      const std::size_t ntris = (payload.size() - kSoupHeaderSize) /
-                                sizeof(Tri);
-      for (std::size_t t = 0; t < ntris; ++t) {
-        Tri tri;
-        // Deframing one 48-byte triangle from the spill record.
-        std::memcpy(&tri, body + t * sizeof(Tri), sizeof(Tri));  // aerolint: allow(payload-copy)
-        out.add_triangle(tri[0], tri[1], tri[2]);
-      }
+      out.append(piece);
     }
     fi = fj;
   }
-  emit_overflow_below(~std::uint64_t{0});
-  // Flush any overflow at or past the largest key (emit_overflow_below is
-  // strictly below; the sentinel above covers all real keys, but be exact).
-  for (; ov != overflow.end(); ++ov) {
-    for (const Tri& tri : ov->second) {
-      out.add_triangle(tri[0], tri[1], tri[2]);
-    }
-  }
+  for (; ov != overflow.end(); ++ov) out.append(ov->second);
   reader.close();
   // The spill is single-pass scratch; remove it once merged. A failed
   // remove leaves a file no later pass will ever claim again.
@@ -1205,6 +1178,11 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   SharedState shared(opts);
   shared.sizing = &sizing;
   shared.opts = &opts;
+  shared.rules = TreeRules{.bl_decompose = opts.bl_decompose,
+                           .inviscid_target_triangles =
+                               opts.inviscid_target_triangles,
+                           .inviscid_max_level = opts.inviscid_max_level,
+                           .refine_threads = opts.tuning.threads_per_rank};
   if (!opts.spill_dir.empty()) {
     // Hash 0: the spill is a single-pass scratch file, created and consumed
     // here; an unclaimable or unopenable spill degrades to the in-RAM merge.
@@ -1238,7 +1216,7 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   for (int r = 0; r < opts.nranks; ++r) {
     // The mesher is wrapped so `mesher_exited` flips on EVERY exit path
     // (normal shutdown, abort, drain, injected crash/kill); a draining
-    // communicator synchronizes on it before reading rs.triangles.
+    // communicator synchronizes on it before reading rs.pieces.
     threads.emplace_back([&shared, &ranks, r] {
       mesher_main(shared, ranks, r);
       ranks[static_cast<std::size_t>(r)].mesher_exited.store(true);
@@ -1264,24 +1242,10 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   while (!fallback.empty()) {
     WorkUnit unit = std::move(fallback.back());
     fallback.pop_back();
-    std::uint64_t key = 0;
-    if (opts.checkpoint != nullptr || opts.resume != nullptr) {
-      key = subdomain_key(unit);
-    }
-    if (opts.resume != nullptr) {
-      if (const auto* stored = opts.resume->find(key)) {
-        if (shared.spilling) {
-          spill_block(shared, shared.spill_seq.fetch_add(1), *stored);
-        } else {
-          ranks[0].triangles.insert(ranks[0].triangles.end(), stored->begin(),
-                                    stored->end());
-        }
-        shared.resumed.fetch_add(1);
-        shared.completed.fetch_add(1);
-        if (opts.checkpoint != nullptr) opts.checkpoint->record(key, *stored);
-        trace_event(shared, ProtocolEvent::Kind::kUnitCompleted, unit.id, 0);
-        continue;
-      }
+    const std::uint64_t key = journal_key(opts, unit);
+    if (replay_resumed(shared, ranks[0], 0, key)) {
+      trace_event(shared, ProtocolEvent::Kind::kUnitCompleted, unit.id, 0);
+      continue;
     }
     if (drained) {
       // The drain stops meshing here too: escalated units join the
@@ -1289,9 +1253,9 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
       continue;
     }
     std::vector<WorkUnit> children;
-    std::vector<std::array<Vec2, 3>> triangles;
+    MeshView piece;
     try {
-      expand(sizing, opts, unit, children, triangles);
+      expand_unit(unit, sizing, shared.rules, children, piece);
     } catch (...) {
       ++lost_units;  // genuinely unmeshable, not an injected fault
       trace_event(shared, ProtocolEvent::Kind::kUnitLost, unit.id, 0);
@@ -1304,18 +1268,10 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
       trace_event(shared, ProtocolEvent::Kind::kUnitCreated, c.id, 0);
       fallback.push_back(std::move(c));
     }
-    if (children.empty() && opts.checkpoint != nullptr) {
-      opts.checkpoint->record(key, triangles);
-    }
-    if (shared.spilling) {
-      spill_block(shared, shared.spill_seq.fetch_add(1), std::move(triangles));
-    } else {
-      ranks[0].triangles.insert(ranks[0].triangles.end(), triangles.begin(),
-                                triangles.end());
-    }
+    if (children.empty()) keep_leaf(shared, ranks[0], 0, key, std::move(piece));
   }
 
-  // Root-side merge: rank 0's own triangles plus every gathered soup --
+  // Root-side merge: rank 0's own pieces plus every gathered rank piece --
   // either resident (the two loops below) or replayed from the spill file
   // window-by-window under the resident budget. The spill keys reproduce
   // exactly this loop's order (see spill_rank_key), so both paths build the
@@ -1323,16 +1279,10 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   if (shared.spilling) {
     merge_spilled(shared, opts, out, stats, lost_units);
   }
-  for (const auto& tri : ranks[0].triangles) {
-    out.add_triangle(tri[0], tri[1], tri[2]);
-  }
+  for (const MeshView& piece : ranks[0].pieces) out.append(piece);
   {
     MutexLock lock(shared.results_m);
-    for (const auto& [from, tris] : shared.results) {
-      for (const auto& tri : tris) {
-        out.add_triangle(tri[0], tri[1], tri[2]);
-      }
-    }
+    for (const auto& [from, piece] : shared.results) out.append(piece);
     for (int r = 1; r < opts.nranks; ++r) {
       const auto ri = static_cast<std::size_t>(r);
       if (shared.results.find(r) != shared.results.end()) continue;
@@ -1340,7 +1290,7 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
         // A rank that died mid-run takes its meshed-but-ungathered triangles
         // with it; that loss must not report kOk. A rank dead from the start
         // (or that only split units) meshed nothing and is missing nothing.
-        if (!ranks[ri].triangles.empty()) ++stats.missing_results;
+        if (!ranks[ri].pieces.empty()) ++stats.missing_results;
       } else {
         ++stats.missing_results;
       }

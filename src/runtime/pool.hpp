@@ -98,29 +98,29 @@ struct PoolOptions {
   /// External stop request (the CLI points this at its SIGINT flag): when
   /// it flips true the pool drains in-flight units and gathers what exists.
   const std::atomic<bool>* stop = nullptr;
-  /// Checkpoint journal sink: every finalized leaf's triangles stream here
+  /// Checkpoint journal sink: every finalized leaf's piece streams here
   /// before the unit is counted complete, so a crash loses only in-flight
   /// work. Null = no journaling.
   CheckpointSink* checkpoint = nullptr;
   /// Completed subdomains loaded from a previous run's journal: leaves
-  /// found here replay their stored triangles instead of re-meshing.
+  /// found here replay their stored piece instead of re-meshing.
   const ResumeState* resume = nullptr;
 
   // -- Out-of-core finalization --------------------------------------------
-  /// When non-empty, the root streams every finalized triangle block (its
-  /// own leaves, resume replays, gathered rank soups, fallback output) into
+  /// When non-empty, the root streams every finalized mesh piece (its own
+  /// leaves, resume replays, gathered rank pieces, fallback output) into
   /// a CRC-framed spill journal instead of holding them resident, then
   /// merges window-by-window under `merge_resident_bytes` and deletes the
   /// journal. Each pool pass creates its own journal in this directory
   /// exclusively (named after the process id and a process-wide pass
   /// counter), so runs sharing the directory never touch each other's
   /// files. The merged mesh is bit-identical to the in-RAM path; a spill
-  /// write failure degrades that block back to resident, never the run.
+  /// write failure degrades that piece back to resident, never the run.
   /// "" = in-RAM merge.
   std::string spill_dir;
   /// Resident-payload budget of the windowed spill merge, in bytes. At
   /// least one record is always loaded per window, so the merge progresses
-  /// even when a single block exceeds the budget.
+  /// even when a single piece exceeds the budget.
   std::size_t merge_resident_bytes = std::size_t{256} << 20;
 };
 
@@ -129,7 +129,7 @@ struct PoolStats {
   std::size_t steals = 0;          ///< successful work transfers
   std::size_t steal_denials = 0;   ///< requests answered with no-work
   std::size_t transfer_bytes = 0;  ///< total serialized work payload moved
-  std::size_t result_bytes = 0;    ///< triangle payload gathered to the root
+  std::size_t result_bytes = 0;    ///< piece payload gathered to the root
   std::vector<std::size_t> tasks_per_rank;
   double wall_seconds = 0.0;
 
@@ -176,10 +176,10 @@ struct PoolStats {
   StopCause stop_cause = StopCause::kNone;  ///< why a kStopped run drained
 
   // Out-of-core finalization accounting (zero unless spill_dir was set).
-  std::size_t spill_records = 0;  ///< triangle blocks streamed to the spill
+  std::size_t spill_records = 0;  ///< pieces streamed to the spill
   std::size_t spill_bytes = 0;    ///< payload bytes written to the spill
-  std::size_t spill_write_failures = 0;  ///< blocks degraded to resident
-  std::size_t spill_max_record_bytes = 0;  ///< largest single spilled block
+  std::size_t spill_write_failures = 0;  ///< pieces degraded to resident
+  std::size_t spill_max_record_bytes = 0;  ///< largest single spilled piece
   std::size_t merge_windows = 0;  ///< bounded-resident merge passes
   /// Largest window resident set. Bounded by merge_resident_bytes, except
   /// that a single record larger than the whole budget still merges as its
@@ -201,15 +201,15 @@ struct PoolStats {
 /// thread (splitting and meshing subdomains from a cost-ordered priority
 /// queue, largest first) and a communicator thread (periodic RMA load
 /// updates, steal requests toward the most-loaded rank, request service,
-/// shutdown, and the final gather of triangle soups to the root). A monitor
+/// shutdown, and the final gather of mesh pieces to the root). A monitor
 /// thread watches heartbeats, reclaims dead ranks' queues, re-broadcasts
 /// dropped shutdowns, and enforces the watchdog bound, so a faulty fabric
 /// degrades the run instead of deadlocking it.
 ///
 /// `initial` work is handed to rank 0, matching the paper's pipeline where
 /// the root owns the undecomposed domain and the decomposition itself is
-/// distributed by the load balancer. The merged triangles of all ranks are
-/// appended to `out` (root side).
+/// distributed by the load balancer. Every leaf's piece is appended to `out`
+/// (root side): this is parallel_generate_mesh's phase runner.
 PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
                    const PoolOptions& opts, MergedMesh& out);
 

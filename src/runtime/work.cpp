@@ -27,6 +27,9 @@ class Writer {
     const auto* p = reinterpret_cast<const std::uint8_t*>(pts.data());
     bytes_.insert(bytes_.end(), p, p + pts.size() * sizeof(Vec2));
   }
+  void put_piece(const MeshView& piece) {
+    bytes_ = piece.serialize(std::move(bytes_));
+  }
   /// Append the CRC-32 trailer and hand out the framed payload.
   std::vector<std::uint8_t> take() {
     put<std::uint32_t>(crc32(bytes_.data(), bytes_.size()));
@@ -74,6 +77,16 @@ class Reader {
     pos_ += n * sizeof(Vec2);
     return pts;
   }
+  /// The rest of the payload as an "AMSH" mesh piece.
+  MeshView get_piece() {
+    MeshView piece;
+    if (MeshView::parse(data_ + pos_, end_ - pos_, piece) !=
+        MeshBlobStatus::kOk) {
+      throw std::runtime_error("work unit payload holds no mesh piece");
+    }
+    pos_ = end_;
+    return piece;
+  }
 
  private:
   const std::uint8_t* data_;
@@ -82,58 +95,6 @@ class Reader {
 };
 
 }  // namespace
-
-void expand_unit(const WorkUnit& unit, const GradedSizing& sizing,
-                 const DecomposeOptions& bl_decompose,
-                 double inviscid_target_triangles, int inviscid_max_level,
-                 int refine_threads, std::vector<WorkUnit>& children,
-                 std::vector<std::array<Vec2, 3>>& triangles) {
-  if (unit.kind == WorkUnit::Kind::kBlDecompose) {
-    const std::size_t parent_size = unit.bl.size();
-    if (sufficiently_decomposed(unit.bl, bl_decompose)) {
-      Subdomain s = unit.bl;
-      s.finalize();
-      triangles = triangulate_subdomain_dc(s);
-    } else {
-      Subdomain parent = unit.bl;
-      auto [l, r] = split_subdomain(std::move(parent));
-      if (l.size() >= parent_size || r.size() >= parent_size) {
-        Subdomain whole = l.size() >= parent_size ? std::move(l) : std::move(r);
-        whole.level -= 1;
-        whole.cuts.pop_back();
-        whole.finalize();
-        triangles = triangulate_subdomain_dc(whole);
-      } else {
-        children.push_back(
-            WorkUnit{WorkUnit::Kind::kBlDecompose, std::move(l), {}});
-        children.push_back(
-            WorkUnit{WorkUnit::Kind::kBlDecompose, std::move(r), {}});
-      }
-    }
-    return;
-  }
-  const bool leaf =
-      !unit.inv.hole_segments.empty() ||
-      unit.inv.level >= inviscid_max_level ||
-      unit.inv.estimated_triangles(sizing) <= inviscid_target_triangles;
-  std::vector<InviscidSubdomain> kids;
-  if (!leaf) kids = plus_split(unit.inv, sizing);
-  if (leaf || kids.empty()) {
-    const TriangulateResult r =
-        refine_subdomain(unit.inv, sizing, refine_threads);
-    r.mesh.for_each_triangle([&](TriIndex t) {
-      const MeshTri& mt = r.mesh.tri(t);
-      if (!mt.inside) return;
-      triangles.push_back({r.mesh.point(mt.v[0]), r.mesh.point(mt.v[1]),
-                           r.mesh.point(mt.v[2])});
-    });
-    return;
-  }
-  for (auto& c : kids) {
-    children.push_back(
-        WorkUnit{WorkUnit::Kind::kInviscidDecouple, {}, std::move(c)});
-  }
-}
 
 std::size_t serialized_size(const WorkUnit& unit) {
   std::size_t n = 8 + 8 + 1;  // id, failed_ranks, kind
@@ -153,8 +114,8 @@ std::size_t serialized_size(const WorkUnit& unit) {
   return n + 4;  // CRC trailer
 }
 
-std::size_t serialized_triangles_size(std::size_t ntris) {
-  return 8 + ntris * 3 * sizeof(Vec2) + 4;
+std::size_t serialized_size(const MeshView& piece) {
+  return piece.serialized_size() + 4;  // CRC trailer
 }
 
 std::vector<std::uint8_t> serialize(const WorkUnit& unit, BufferPool* pool) {
@@ -233,30 +194,19 @@ WorkUnit deserialize_work(const ByteBuf& bytes) {
   return deserialize_work(bytes.data(), bytes.size());
 }
 
-std::vector<std::uint8_t> serialize_triangles(
-    const std::vector<std::array<Vec2, 3>>& tris, BufferPool* pool) {
-  Writer w(serialized_triangles_size(tris.size()), pool);
-  w.put<std::uint64_t>(tris.size());
-  for (const auto& t : tris) {
-    for (const Vec2 p : t) w.put<Vec2>(p);
-  }
+std::vector<std::uint8_t> serialize_piece(const MeshView& piece,
+                                          BufferPool* pool) {
+  Writer w(serialized_size(piece), pool);
+  w.put_piece(piece);
   return w.take();
 }
 
-std::vector<std::array<Vec2, 3>> deserialize_triangles(
-    const std::uint8_t* data, std::size_t n) {
-  Reader r(data, n);
-  const auto count = r.get<std::uint64_t>();
-  std::vector<std::array<Vec2, 3>> tris(count);
-  for (auto& t : tris) {
-    for (Vec2& p : t) p = r.get<Vec2>();
-  }
-  return tris;
+MeshView deserialize_piece(const std::uint8_t* data, std::size_t n) {
+  return Reader(data, n).get_piece();
 }
 
-std::vector<std::array<Vec2, 3>> deserialize_triangles(
-    const std::vector<std::uint8_t>& bytes) {
-  return deserialize_triangles(bytes.data(), bytes.size());
+MeshView deserialize_piece(const std::vector<std::uint8_t>& bytes) {
+  return deserialize_piece(bytes.data(), bytes.size());
 }
 
 }  // namespace aero

@@ -18,7 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/crc32.hpp"  // aerolint: allow(public-api)
 #include "core/mesh_generator.hpp"
+#include "core/mesh_view.hpp"
 #include "core/pipeline_config.hpp"  // aerolint: allow(public-api)
 #include "io/journal.hpp"  // aerolint: allow(public-api)
 #include "runtime/checkpoint.hpp"  // aerolint: allow(public-api)
@@ -212,6 +214,32 @@ TEST(Journal, WriterFailureLatchesInsteadOfThrowing) {
   EXPECT_GE(w.write_failures(), 1u);
 }
 
+TEST(ResumeState, AsupSoupRecordIsABadMagicDecodeFailure) {
+  // A v3 record whose payload is the retired "ASUP" triangle soup: the
+  // record CRC passes, but MeshView::parse rejects the blob as kBadMagic, so
+  // the record is skipped and counted while the AMSH piece beside it loads.
+  TempJournal tj("asup_record");
+  std::vector<std::uint8_t> soup = {'A', 'S', 'U', 'P', 1, 0, 0, 0};
+  soup.resize(soup.size() + 6 * sizeof(double), 0);  // one 48-byte triangle
+  const std::vector<std::uint8_t> piece =
+      MeshView({{0, 0}, {1, 0}, {0, 1}}, {{0, 1, 2}}).serialize();
+  {
+    JournalWriter w;
+    ASSERT_TRUE(w.open(tj.path, kHash, false));
+    ASSERT_TRUE(w.append(1, soup.data(), soup.size()));
+    ASSERT_TRUE(w.append(2, piece.data(), piece.size()));
+    ASSERT_TRUE(w.flush());
+  }
+  EXPECT_EQ(mesh_blob_status(soup), MeshBlobStatus::kBadMagic);
+  const JournalContents loaded = read_journal(tj.path, kHash);
+  ASSERT_EQ(loaded.records.size(), 2u);
+  const ResumeState resume(loaded);
+  EXPECT_EQ(resume.decode_failures(), 1u);
+  EXPECT_EQ(resume.find(1), nullptr);
+  ASSERT_NE(resume.find(2), nullptr);
+  EXPECT_EQ(resume.find(2)->triangle_count(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Shared small-domain fixture (mirrors test_faults.cpp's ChaosFixture).
 
@@ -236,8 +264,7 @@ struct CheckpointFixture {
 
     const BoundaryLayer bl = build_boundary_layer(cfg.airfoil, blayer_options(cfg));
     MergedMesh bl_mesh;
-    triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr,
-                               nullptr);
+    triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr);
     const InviscidDomain domain = make_inviscid_domain(bl, cfg, bl_mesh);
     sizing = domain.sizing;
     for (InviscidSubdomain& quad : initial_quadrants(domain)) {
@@ -583,6 +610,47 @@ TEST(DriverResilience, RejectedJournalRemeshesFromScratch) {
   EXPECT_TRUE(r.resilience.resume_rejected);
   EXPECT_FALSE(r.resilience.resume_error.empty());
   EXPECT_EQ(r.resilience.resumed_units, 0u);
+  EXPECT_GT(r.mesh.triangle_count(), 0u);
+}
+
+TEST(DriverResilience, VersionTwoJournalRemeshesFromScratch) {
+  // A journal written by the soup-era format (version 2, with one intact
+  // record) is rejected at its header, and the run re-meshes everything.
+  const CheckpointFixture& fx = fixture();
+  TempJournal tj("driver_v2");
+  constexpr std::uint64_t kCfgHash = 0x2545f4914f6cdd1dull;
+  std::vector<std::uint8_t> bytes = {'A', 'E', 'R', 'O', 'J', 'N', 'L', '1'};
+  const auto put = [&bytes](auto v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(v));
+  };
+  put(std::uint32_t{2});
+  put(kCfgHash);
+  put(crc32(bytes.data(), bytes.size()));
+  const std::size_t record = bytes.size();
+  put(std::uint32_t{8});
+  put(std::uint64_t{42});
+  bytes.insert(bytes.end(), {'A', 'S', 'U', 'P', 1, 0, 0, 0});
+  put(crc32(bytes.data() + record + 4, bytes.size() - record - 4));
+  dump(tj.path, bytes);
+
+  const JournalContents loaded = read_journal(tj.path, kCfgHash);
+  EXPECT_FALSE(loaded.header_ok);
+  EXPECT_EQ(loaded.version, 2u);
+  EXPECT_TRUE(loaded.records.empty());
+  EXPECT_EQ(loaded.discarded_bytes, bytes.size());
+
+  ResilienceOptions rd;
+  rd.resume_path = tj.path;
+  rd.config_hash = kCfgHash;
+  const ParallelMeshResult r =
+      parallel_generate_mesh(fx.cfg, 4, {}, nullptr, {}, rd);
+  EXPECT_EQ(r.status, RunStatus::kOk);
+  EXPECT_TRUE(r.resilience.resume_attempted);
+  EXPECT_TRUE(r.resilience.resume_rejected);
+  EXPECT_EQ(r.resilience.resume_records, 0u);
+  EXPECT_EQ(r.resilience.resumed_units, 0u);
+  EXPECT_EQ(r.resilience.units_done, r.resilience.units_total);
   EXPECT_GT(r.mesh.triangle_count(), 0u);
 }
 

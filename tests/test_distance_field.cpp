@@ -61,7 +61,7 @@ TEST(RestrictToRing, MeshNeverOverlapsBodies) {
   MergedMesh mesh;
   std::size_t subdomains = 0;
   triangulate_boundary_layer(bl, {.min_points = 1000, .max_level = 10}, mesh,
-                             &subdomains, nullptr);
+                             &subdomains);
 
   // No kept triangle's centroid may be inside any element.
   std::size_t inside_body = 0;
@@ -82,7 +82,7 @@ TEST(RestrictToRing, KeepsTheAnisotropicLayer) {
   const BoundaryLayer bl = build_boundary_layer(make_naca0012(200), opts);
   MergedMesh mesh;
   triangulate_boundary_layer(bl, {.min_points = 1000, .max_level = 10}, mesh,
-                             nullptr, nullptr);
+                             nullptr);
   // The kept ring has far more vertices than the surface alone (the layer
   // points survive).
   EXPECT_GT(mesh.point_count(), bl.surfaces[0].size());

@@ -240,15 +240,13 @@ TEST(WireFormat, EverySingleByteCorruptionIsDetected) {
     bad[i] ^= 0x41;
     EXPECT_THROW(deserialize_work(bad), std::runtime_error) << "byte " << i;
   }
-  const std::vector<std::array<Vec2, 3>> tris{
-      {{Vec2{0, 0}, Vec2{1, 0}, Vec2{0, 1}}},
-      {{Vec2{-2, 3}, Vec2{0.5, 0.5}, Vec2{9, 9}}}};
-  const auto tri_bytes = serialize_triangles(tris);
-  for (std::size_t i = 0; i < tri_bytes.size(); ++i) {
-    auto bad = tri_bytes;
+  const MeshView piece({{0, 0}, {1, 0}, {0, 1}, {-2, 3}, {9, 9}},
+                       {{0, 1, 2}, {3, 2, 4}});
+  const auto piece_bytes = serialize_piece(piece);
+  for (std::size_t i = 0; i < piece_bytes.size(); ++i) {
+    auto bad = piece_bytes;
     bad[i] ^= 0x01;
-    EXPECT_THROW(deserialize_triangles(bad), std::runtime_error)
-        << "byte " << i;
+    EXPECT_THROW(deserialize_piece(bad), std::runtime_error) << "byte " << i;
   }
 }
 
@@ -261,9 +259,15 @@ TEST(WireFormat, TruncationAlwaysThrows) {
     bad.resize(n);
     EXPECT_THROW(deserialize_work(bad), std::runtime_error) << "len " << n;
   }
-  auto tri_bytes = serialize_triangles({{{Vec2{0, 0}, Vec2{1, 0}, Vec2{0, 1}}}});
-  tri_bytes.pop_back();
-  EXPECT_THROW(deserialize_triangles(tri_bytes), std::runtime_error);
+  const auto piece_bytes =
+      serialize_piece(MeshView({{0, 0}, {1, 0}, {0, 1}}, {{0, 1, 2}}));
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{3}, piece_bytes.size() / 2,
+        piece_bytes.size() - 1}) {
+    auto bad = piece_bytes;
+    bad.resize(n);
+    EXPECT_THROW(deserialize_piece(bad), std::runtime_error) << "len " << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -310,8 +314,7 @@ struct ChaosFixture {
 
     const BoundaryLayer bl = build_boundary_layer(cfg.airfoil, blayer_options(cfg));
     MergedMesh bl_mesh;
-    triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr,
-                               nullptr);
+    triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr);
     const InviscidDomain domain = make_inviscid_domain(bl, cfg, bl_mesh);
     sizing = domain.sizing;
     for (InviscidSubdomain& quad : initial_quadrants(domain)) {

@@ -105,6 +105,16 @@ TEST(MeshBlob, TypedRejection) {
   EXPECT_EQ(MeshView::parse(bad, out), MeshBlobStatus::kCountMismatch);
   EXPECT_EQ(out.point_count(), 0u);
   EXPECT_EQ(out.triangle_count(), 0u);
+
+  bad = blob;
+  bad[15] = 0x10;  // 2^60 points: the size check must not wrap around
+  EXPECT_EQ(mesh_blob_status(bad), MeshBlobStatus::kCountMismatch);
+
+  bad = blob;
+  bad[bad.size() - 4] = 0xff;  // the last triangle names a missing point
+  EXPECT_EQ(mesh_blob_status(bad), MeshBlobStatus::kOk);
+  EXPECT_EQ(MeshView::parse(bad, out), MeshBlobStatus::kBadIndex);
+  EXPECT_EQ(out.triangle_count(), 0u);
 }
 
 TEST(ChunkedStorage, GrowthCrossesChunkBoundaryWithoutRelocation) {

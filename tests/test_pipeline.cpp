@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
+#include "core/crc32.hpp"  // aerolint: allow(public-api)
 #include "core/mesh_generator.hpp"
+#include "core/mesh_view.hpp"
 #include "geom/triangle_quality.hpp"  // aerolint: allow(public-api)
 
 namespace aero {
@@ -117,12 +122,40 @@ TEST_F(PipelineTest, SizingControlsInviscidCount) {
   EXPECT_GT(rf.inviscid_triangles, rc.inviscid_triangles * 3 / 2);
 }
 
-TEST_F(PipelineTest, TaskCostsRecorded) {
+TEST_F(PipelineTest, SequentialMeshBytesArePinned) {
+  // The sequential mesh's exact bytes, as its AMSH blob's CRC-32. A walker
+  // that merges leaves in another order, or a piece that interns points in
+  // another order, changes them even when the counts stay the same.
   const Options cfg = small_config(make_naca0012(120));
   const MeshGenerationResult r = generate_mesh(cfg);
-  EXPECT_EQ(r.bl_task_seconds.size(), r.bl_subdomains);
-  EXPECT_EQ(r.inviscid_task_seconds.size(), r.inviscid_subdomains);
-  for (const double s : r.inviscid_task_seconds) EXPECT_GE(s, 0.0);
+  const std::vector<std::uint8_t> blob = MeshView(r.mesh).serialize();
+  EXPECT_EQ(crc32(blob.data(), blob.size()), 0xc0363433u);
+  EXPECT_EQ(r.mesh.point_count(), 9547u);
+  EXPECT_EQ(r.mesh.triangle_count(), 18798u);
+}
+
+TEST(SubdomainTree, ExpandHonorsForcedCutAxis) {
+  // A tall cloud splits horizontally by default; force_axis must override
+  // that in expand_unit, the step every walker of the tree shares.
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> x(0.0, 1.0), y(0.0, 10.0);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 4000; ++i) pts.push_back({x(rng), y(rng)});
+  TreeRules rules;
+  rules.bl_decompose = {.min_points = 100, .max_level = 10,
+                        .force_axis = static_cast<int>(CutAxis::kVertical)};
+  std::vector<WorkUnit> children;
+  MeshView piece;
+  expand_unit(WorkUnit{WorkUnit::Kind::kBlDecompose,
+                       make_root_subdomain(pts),
+                       {}},
+              GradedSizing{}, rules, children, piece);
+  ASSERT_EQ(children.size(), 2u);
+  for (const WorkUnit& c : children) {
+    ASSERT_FALSE(c.bl.cuts.empty());
+    EXPECT_EQ(c.bl.cuts.back().axis, CutAxis::kVertical);
+  }
+  EXPECT_EQ(piece.triangle_count(), 0u);
 }
 
 }  // namespace

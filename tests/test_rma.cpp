@@ -263,10 +263,12 @@ WorkUnit fuzz_unit(std::mt19937& rng, std::size_t npoints) {
   return u;
 }
 
-TEST(WorkFuzz, EmptyTriangleSoupRoundTrips) {
-  const auto bytes = serialize_triangles({});
-  EXPECT_EQ(bytes.size(), serialized_triangles_size(0));
-  EXPECT_TRUE(deserialize_triangles(bytes).empty());
+TEST(WorkFuzz, EmptyPieceRoundTrips) {
+  const auto bytes = serialize_piece(MeshView{});
+  EXPECT_EQ(bytes.size(), serialized_size(MeshView{}));
+  const MeshView back = deserialize_piece(bytes);
+  EXPECT_EQ(back.point_count(), 0u);
+  EXPECT_EQ(back.triangle_count(), 0u);
 }
 
 TEST(WorkFuzz, SerializedSizeIsExact) {
@@ -276,10 +278,10 @@ TEST(WorkFuzz, SerializedSizeIsExact) {
     const WorkUnit u = fuzz_unit(rng, n);
     EXPECT_EQ(serialize(u).size(), serialized_size(u)) << n << " points";
   }
-  const std::vector<std::array<Vec2, 3>> tris(
-      257, {Vec2{0, 0}, Vec2{1, 0}, Vec2{0, 1}});
-  EXPECT_EQ(serialize_triangles(tris).size(),
-            serialized_triangles_size(tris.size()));
+  const MeshView piece(std::vector<Vec2>(300, Vec2{0.5, 0.25}),
+                       std::vector<std::array<std::uint32_t, 3>>(
+                           257, std::array<std::uint32_t, 3>{0, 1, 2}));
+  EXPECT_EQ(serialize_piece(piece).size(), serialized_size(piece));
 }
 
 TEST(WorkFuzz, HugeUnitSurvivesTheWindowPath) {
@@ -342,8 +344,7 @@ struct PoolFixture {
 
     const BoundaryLayer bl = build_boundary_layer(cfg.airfoil, blayer_options(cfg));
     MergedMesh bl_mesh;
-    triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr,
-                               nullptr);
+    triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr);
     const InviscidDomain domain = make_inviscid_domain(bl, cfg, bl_mesh);
     sizing = domain.sizing;
     for (InviscidSubdomain& quad : initial_quadrants(domain)) {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "core/mesh_generator.hpp"
 #include "core/pipeline_config.hpp"  // aerolint: allow(public-api)
@@ -104,12 +108,14 @@ TEST(WorkSerialization, InviscidRoundTrip) {
   EXPECT_EQ(back.inv.level, 3);
 }
 
-TEST(WorkSerialization, TriangleSoupRoundTrip) {
-  std::vector<std::array<Vec2, 3>> tris{
-      {{Vec2{0, 0}, Vec2{1, 0}, Vec2{0, 1}}},
-      {{Vec2{1e-300, -5}, Vec2{3.25, 0.1}, Vec2{7, 8}}}};
-  const auto back = deserialize_triangles(serialize_triangles(tris));
-  EXPECT_EQ(back, tris);
+TEST(WorkSerialization, PieceRoundTrip) {
+  const MeshView piece({{0, 0}, {1, 0}, {0, 1}, {1e-300, -5}},
+                       {{0, 1, 2}, {1, 3, 2}});
+  const MeshView back = deserialize_piece(serialize_piece(piece));
+  ASSERT_EQ(back.point_count(), 4u);
+  ASSERT_EQ(back.triangle_count(), 2u);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(back.point(i), piece.point(i));
+  for (std::size_t t = 0; t < 2; ++t) EXPECT_EQ(back.tri(t), piece.tri(t));
 }
 
 TEST(WorkSerialization, TruncatedPayloadThrows) {
@@ -117,6 +123,26 @@ TEST(WorkSerialization, TruncatedPayloadThrows) {
   auto bytes = serialize({WorkUnit::Kind::kBlDecompose, s, {}});
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(deserialize_work(bytes), std::runtime_error);
+}
+
+/// The live triangles as coordinate triples, each rotated to start at its
+/// lexicographically smallest vertex (orientation kept), then sorted: equal
+/// for two meshes with the same triangles in any merge order.
+std::vector<std::array<double, 6>> canonical_triangles(const MergedMesh& m) {
+  std::vector<std::array<double, 6>> out;
+  m.for_each_triangle([&](Vec2 a, Vec2 b, Vec2 c) {
+    const auto less = [](Vec2 p, Vec2 q) {
+      return p.x < q.x || (p.x == q.x && p.y < q.y);
+    };
+    if (less(b, a) && less(b, c)) {
+      std::tie(a, b, c) = std::tuple(b, c, a);
+    } else if (less(c, a) && less(c, b)) {
+      std::tie(a, b, c) = std::tuple(c, a, b);
+    }
+    out.push_back({a.x, a.y, b.x, b.y, c.x, c.y});
+  });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 class PoolEquivalence : public ::testing::TestWithParam<int> {};
@@ -141,6 +167,7 @@ TEST_P(PoolEquivalence, ParallelMatchesSequential) {
   // welded point counts regardless of rank count and steal interleaving.
   EXPECT_EQ(par.mesh.triangle_count(), seq.mesh.triangle_count());
   EXPECT_EQ(par.mesh.point_count(), seq.mesh.point_count());
+  EXPECT_EQ(canonical_triangles(par.mesh), canonical_triangles(seq.mesh));
   const auto conf = par.mesh.check_conformity();
   EXPECT_TRUE(conf.manifold);
   EXPECT_TRUE(conf.orientation_ok);
@@ -167,7 +194,7 @@ TEST(Pool, WorkIsActuallyDistributed) {
 
   const BoundaryLayer bl = build_boundary_layer(cfg.airfoil, blayer_options(cfg));
   MergedMesh bl_mesh;
-  triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr, nullptr);
+  triangulate_boundary_layer(bl, bl_decompose_options(cfg), bl_mesh, nullptr);
   const InviscidDomain domain = make_inviscid_domain(bl, cfg, bl_mesh);
 
   PoolOptions opts;
