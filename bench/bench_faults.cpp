@@ -62,8 +62,8 @@ int main() {
   opts.nranks = 4;
   opts.steal_threshold = 1.0;
   opts.update_period = std::chrono::microseconds(50);
-  opts.inviscid_target_triangles = cfg.inviscid_target_triangles;
-  opts.tuning.heartbeat_timeout = std::chrono::milliseconds(1000);
+  opts.rules = tree_rules(cfg);
+  opts.heartbeat_timeout = std::chrono::milliseconds(1000);
 
   const auto make_initial = [&] {
     std::vector<WorkUnit> initial;

@@ -141,14 +141,13 @@ int main(int argc, char** argv) {
   ab.inviscid_max_level = 10;
   ab.bl_min_points = 400;
   ab.bl_max_level = 10;
+  ab.ranks = 8;
 
   const auto pool_bytes = [](const ParallelMeshResult& r) {
     return r.bl_pool.comm_bytes + r.inviscid_pool.comm_bytes;
   };
-  const PoolTuning tuning;
   Timer t_rma;
-  const ParallelMeshResult with_rma =
-      parallel_generate_mesh(ab, 8, FaultConfig{}, nullptr, tuning);
+  const ParallelMeshResult with_rma = parallel_generate_mesh(ab);
   const double wall_rma_ms = 1000.0 * t_rma.seconds();
 
   const double rma_bytes = static_cast<double>(pool_bytes(with_rma));
@@ -171,11 +170,11 @@ int main(int argc, char** argv) {
   std::size_t grid_triangles = 0;
   bool grid_agrees = true;
   for (GridCell& cell : grid) {
-    PoolTuning tuned = tuning;
+    Options tuned = ab;
+    tuned.ranks = cell.ranks;
     tuned.threads_per_rank = cell.threads;
     Timer t;
-    const ParallelMeshResult r =
-        parallel_generate_mesh(ab, cell.ranks, FaultConfig{}, nullptr, tuned);
+    const ParallelMeshResult r = parallel_generate_mesh(tuned);
     cell.seconds = t.seconds();
     if (grid_triangles == 0) grid_triangles = r.mesh.triangle_count();
     grid_agrees = grid_agrees && r.mesh.triangle_count() == grid_triangles;
@@ -193,9 +192,8 @@ int main(int argc, char** argv) {
   std::printf("Checkpoint overhead A/B (real pool, 8 ranks):\n");
   const char* journal_path = "bench_scaling_ckpt.aerojnl";
   std::remove(journal_path);
-  ResilienceOptions res;
-  res.checkpoint_path = journal_path;
-  res.config_hash = 0x5ca1ab1eull;
+  Options journaled = ab;
+  journaled.checkpoint_path = journal_path;
   // Min-of-5 interleaved pairs: on an oversubscribed box the scheduler's
   // noise on a ~100 ms run dwarfs the journal's real cost, and the minimum
   // is the run the scheduler interfered with least.
@@ -205,13 +203,11 @@ int main(int argc, char** argv) {
   std::size_t ckpt_triangles = 0;
   for (int i = 0; i < 5; ++i) {
     Timer t_off;
-    const ParallelMeshResult off =
-        parallel_generate_mesh(ab, 8, FaultConfig{}, nullptr, tuning);
+    const ParallelMeshResult off = parallel_generate_mesh(ab);
     wall_off_ms = std::min(wall_off_ms, 1000.0 * t_off.seconds());
     (void)off;
     Timer t_on;
-    const ParallelMeshResult on =
-        parallel_generate_mesh(ab, 8, FaultConfig{}, nullptr, tuning, res);
+    const ParallelMeshResult on = parallel_generate_mesh(journaled);
     const double ms = 1000.0 * t_on.seconds();
     if (i == 0 || ms < wall_ckpt_ms) wall_ckpt_ms = ms;
     ckpt_records = on.resilience.checkpointed_units;

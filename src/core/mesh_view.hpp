@@ -56,9 +56,9 @@ inline MeshBlobStatus mesh_blob_status(const std::vector<std::uint8_t>& blob,
 
 /// Stable read-only facade over an assembled mesh: index-based handles,
 /// range iteration, and the one serialized form shared by the service
-/// cache, the result journal, the checkpoint sink, the pool's result gather
-/// and its spill. Callers outside the mesh core consume this instead of
-/// reaching into MergedMesh internals.
+/// cache, the result journal, the checkpoint sink and the pool's result
+/// gather. Callers outside the mesh core consume this instead of reaching
+/// into MergedMesh internals.
 ///
 /// A view is either borrowed (zero-copy over a live MergedMesh -- the mesh
 /// must outlive the view) or owning (parsed from a serialized blob or built

@@ -1,5 +1,7 @@
 #include "core/options.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -77,9 +79,21 @@ std::vector<OptionIssue> Options::validate() const {
     err(issues, "geometry", "no input surfaces (set Options::airfoil)");
   }
   for (std::size_t e = 0; e < airfoil.elements.size(); ++e) {
-    if (airfoil.elements[e].surface.size() < 3) {
+    const std::vector<Vec2>& surface = airfoil.elements[e].surface;
+    if (surface.size() < 3) {
       err(issues, "geometry",
           "element " + std::to_string(e) + " has fewer than 3 surface points");
+    }
+    // A NaN escapes the Delaunay kernel as an untyped exception and an
+    // infinity keeps the mesher from ever finishing: reject both here.
+    const auto bad = std::find_if(surface.begin(), surface.end(), [](Vec2 p) {
+      return !std::isfinite(p.x) || !std::isfinite(p.y);
+    });
+    if (bad != surface.end()) {
+      err(issues, "geometry",
+          "element " + std::to_string(e) + " point " +
+              std::to_string(bad - surface.begin()) +
+              " has a non-finite coordinate");
     }
   }
   if (!(first_height > 0.0)) {
@@ -148,13 +162,6 @@ std::vector<OptionIssue> Options::validate() const {
   }
   if (!resume_path.empty() && ranks <= 0) {
     err(issues, "resume_path", "resume requires ranks > 0");
-  }
-  if (!merge_spill_dir.empty() && ranks <= 0) {
-    err(issues, "merge_spill_dir",
-        "out-of-core merge is a parallel-pool feature; requires ranks > 0");
-  }
-  if (merge_resident_mb <= 0) {
-    err(issues, "merge_resident_mb", "merge resident budget must be > 0 MiB");
   }
   if (fault_rate < 0.0 || fault_rate >= 1.0) {
     err(issues, "fault_rate", "injection rate must be in [0, 1)");
@@ -329,20 +336,6 @@ const std::vector<OptionSpec>& option_specs() {
                  [](Options& o, const char* t) {
                    o.resume_path = t;
                    return !o.resume_path.empty();
-                 }});
-    s.push_back({"--merge-spill-dir", "DIR",
-                 "out-of-core merge: spill finalized subdomains to journals "
-                 "in DIR, merge under the resident budget",
-                 "none",
-                 [](Options& o, const char* t) {
-                   o.merge_spill_dir = t;
-                   return !o.merge_spill_dir.empty();
-                 }});
-    s.push_back({"--merge-resident-mb", "N",
-                 "resident-payload budget per spill-merge window in MiB",
-                 std::to_string(d.merge_resident_mb),
-                 [](Options& o, const char* t) {
-                   return parse_long(t, &o.merge_resident_mb);
                  }});
     s.push_back({"--fault-rate", "R",
                  "chaos run: inject message drops at rate R (dup/corrupt/"

@@ -29,7 +29,7 @@ std::string format_issues(const std::vector<OptionIssue>& issues);
 
 /// The unified public configuration of the mesher: one value type covering
 /// everything the internal stage structs (`BoundaryLayerOptions`,
-/// `DecomposeOptions`, `PoolTuning`, `obs::TraceConfig`, `FaultConfig`)
+/// `DecomposeOptions`, `PoolOptions`, `obs::TraceConfig`, `FaultConfig`)
 /// split across their own headers.
 /// Defaults below are the library defaults; the CLI and the benches render
 /// their `--help`/flag tables from option_specs(), so the documented
@@ -116,15 +116,6 @@ struct Options {
   /// When checkpoint_path is empty the journal is also appended in place, so
   /// an interrupted resume is itself resumable.
   std::string resume_path;
-  /// Out-of-core finalization: when non-empty, each pool pass spills
-  /// finalized subdomains to a CRC-framed journal in this directory instead
-  /// of holding their mesh pieces resident, then merges window-by-window
-  /// under the resident budget below. The merged mesh is bit-identical to
-  /// the in-RAM path at every rank/thread count ("" = merge in RAM).
-  std::string merge_spill_dir;
-  /// Resident-payload budget for the spill merge, in MiB. Each merge window
-  /// loads at most this many payload bytes (always at least one record).
-  long merge_resident_mb = 256;
   /// External stop request (programmatic, not CLI-settable): when the
   /// pointee flips true mid-run the pool drains exactly like an exhausted
   /// budget. The aeromesh CLI points this at its SIGINT flag.
@@ -191,14 +182,6 @@ struct Options {
   }
   Options& set_resume_path(std::string p) {
     resume_path = std::move(p);
-    return *this;
-  }
-  Options& set_merge_spill_dir(std::string d) {
-    merge_spill_dir = std::move(d);
-    return *this;
-  }
-  Options& set_merge_resident_mb(long mb) {
-    merge_resident_mb = mb;
     return *this;
   }
   Options& set_stop_flag(const std::atomic<bool>* f) {

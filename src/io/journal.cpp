@@ -127,132 +127,6 @@ JournalContents read_journal(const std::string& path,
   return out;
 }
 
-JournalIndex scan_journal_index(const std::string& path,
-                                std::uint64_t expected_config_hash) {
-  JournalIndex out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  const FileCloser closer{f};
-
-  std::size_t file_size = 0;
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    const long end = std::ftell(f);
-    if (end > 0) file_size = static_cast<std::size_t>(end);
-  }
-  if (std::fseek(f, 0, SEEK_SET) != 0) return out;
-
-  std::uint8_t header[kHeaderBytes];
-  std::size_t pos = std::fread(header, 1, kHeaderBytes, f);
-  const bool header_intact =
-      pos == kHeaderBytes &&
-      std::memcmp(header, kMagic, sizeof(kMagic)) == 0 &&
-      get_u32(header + 20) == crc32(header, 20);
-  if (!header_intact) {
-    out.discarded_bytes = file_size;
-    return out;
-  }
-  out.version = get_u32(header + 8);
-  out.config_hash = get_u64(header + 12);
-  if (out.version != kJournalVersion) {
-    out.discarded_bytes = file_size;
-    return out;
-  }
-  out.header_ok = true;
-  if (out.config_hash != expected_config_hash) {
-    out.hash_mismatch = true;
-    out.discarded_bytes = file_size - kHeaderBytes;
-    return out;
-  }
-
-  // Same stop-at-first-bad-frame walk as read_journal, but each payload is
-  // pumped through a fixed scratch buffer purely to extend the CRC; only
-  // {key, offset, len} survives per record.
-  std::uint8_t scratch[1u << 16];
-  for (;;) {
-    const std::size_t record_start = pos;
-    std::uint8_t head[12];  // payload_len u32 | key u64
-    const std::size_t got = std::fread(head, 1, sizeof(head), f);
-    if (got == 0) break;  // clean EOF on a record boundary
-    pos += got;
-    if (got < sizeof(head)) {
-      out.discarded_bytes = file_size - record_start;
-      break;
-    }
-    const std::uint32_t payload_len = get_u32(head);
-    if (payload_len > kJournalMaxPayload) {
-      out.discarded_bytes = file_size - record_start;
-      break;
-    }
-    JournalFrame frame;
-    frame.key = get_u64(head + 4);
-    frame.payload_offset = pos;
-    frame.payload_len = payload_len;
-    std::uint32_t crc = crc32(head + 4, 8);
-    std::size_t remaining = payload_len;
-    bool torn = false;
-    while (remaining > 0) {
-      const std::size_t chunk = remaining < sizeof(scratch)
-                                    ? remaining
-                                    : sizeof(scratch);
-      if (std::fread(scratch, 1, chunk, f) != chunk) {
-        torn = true;
-        break;
-      }
-      crc = crc32(scratch, chunk, crc);
-      pos += chunk;
-      remaining -= chunk;
-    }
-    std::uint8_t tail[4];
-    if (torn || std::fread(tail, 1, sizeof(tail), f) != sizeof(tail) ||
-        get_u32(tail) != crc) {
-      out.discarded_bytes = file_size - record_start;
-      break;
-    }
-    pos += sizeof(tail);
-    out.frames.push_back(frame);
-  }
-  return out;
-}
-
-bool JournalReader::open(const std::string& path) {
-  if (file_ != nullptr) return false;
-  file_ = std::fopen(path.c_str(), "rb");
-  return file_ != nullptr;
-}
-
-void JournalReader::close() {
-  if (file_ != nullptr) {
-    if (std::fclose(file_) != 0) {
-      // Read path: the bytes are already consumed or abandoned.
-    }
-    file_ = nullptr;
-  }
-}
-
-bool JournalReader::read(const JournalFrame& frame,
-                         std::vector<std::uint8_t>& out) {
-  if (file_ == nullptr) return false;
-  if (frame.payload_offset < 12) return false;
-  if (std::fseek(file_,
-                 static_cast<long>(frame.payload_offset - 8),
-                 SEEK_SET) != 0) {
-    return false;
-  }
-  std::uint8_t keybuf[8];
-  if (std::fread(keybuf, 1, sizeof(keybuf), file_) != sizeof(keybuf) ||
-      get_u64(keybuf) != frame.key) {
-    return false;
-  }
-  out.resize(frame.payload_len);
-  if (frame.payload_len > 0 &&
-      std::fread(out.data(), 1, out.size(), file_) != out.size()) {
-    return false;
-  }
-  std::uint8_t tail[4];
-  if (std::fread(tail, 1, sizeof(tail), file_) != sizeof(tail)) return false;
-  return get_u32(tail) == crc32(out.data(), out.size(), crc32(keybuf, 8));
-}
-
 bool JournalWriter::open(const std::string& path, std::uint64_t config_hash,
                          bool append) {
   const MutexLock lock(m_);

@@ -25,7 +25,7 @@ namespace aero {
 /// wrote the journal; a resume against different options is rejected whole.
 /// `key` is the deterministic subdomain content key (runtime/checkpoint),
 /// `payload` an opaque serialized block -- since journal version 3 every
-/// checkpoint and spill payload is a mesh piece in the tagged "AMSH" layout
+/// checkpoint payload is a mesh piece in the tagged "AMSH" layout
 /// (core/mesh_view.hpp), so a payload-format change is rejected per record
 /// with a typed MeshBlobStatus instead of silently mis-decoding. Each record
 /// is framed independently so a torn tail -- the normal outcome of a crash
@@ -62,53 +62,6 @@ struct JournalContents {
 /// (otherwise `hash_mismatch` is set and `records` stays empty).
 JournalContents read_journal(const std::string& path,
                              std::uint64_t expected_config_hash);
-
-/// One record's location in a journal file: everything the out-of-core
-/// merge needs to schedule a seek-read later, without the payload bytes.
-struct JournalFrame {
-  std::uint64_t key = 0;
-  std::uint64_t payload_offset = 0;  ///< file offset of the payload bytes
-  std::uint32_t payload_len = 0;
-};
-
-/// read_journal's bounded-memory sibling: same header and per-record CRC
-/// validation, but payloads are streamed through a small scratch buffer for
-/// the CRC check and only their offsets are kept. Peak resident memory is
-/// O(1) regardless of journal size -- this is what lets the out-of-core
-/// merge index a spill file bigger than the resident budget.
-struct JournalIndex {
-  bool header_ok = false;
-  bool hash_mismatch = false;
-  std::uint32_t version = 0;
-  std::uint64_t config_hash = 0;
-  std::vector<JournalFrame> frames;
-  std::size_t discarded_bytes = 0;
-};
-JournalIndex scan_journal_index(const std::string& path,
-                                std::uint64_t expected_config_hash);
-
-/// Random-access payload reader over an indexed journal: seeks to a frame
-/// and re-verifies its CRC trailer on every read, so a file torn or
-/// rewritten between scan and read is caught, never mis-decoded.
-class JournalReader {
- public:
-  JournalReader() = default;
-  ~JournalReader() { close(); }
-  JournalReader(const JournalReader&) = delete;
-  JournalReader& operator=(const JournalReader&) = delete;
-
-  [[nodiscard]] bool open(const std::string& path);
-  bool is_open() const { return file_ != nullptr; }
-  void close();
-
-  /// Load one frame's payload into `out` (resized to payload_len). False on
-  /// seek/read failure or CRC mismatch; `out` is unusable then.
-  [[nodiscard]] bool read(const JournalFrame& frame,
-                          std::vector<std::uint8_t>& out);
-
- private:
-  std::FILE* file_ = nullptr;
-};
 
 /// Thread-safe append-only writer. Every write and flush return value is
 /// checked: the first failure (disk full, torn mount) latches the writer

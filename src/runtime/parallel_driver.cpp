@@ -13,11 +13,20 @@
 
 namespace aero {
 
-ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
-                                          const FaultConfig& faults,
-                                          ProtocolTrace* trace,
-                                          const PoolTuning& tuning,
-                                          const ResilienceOptions& resilience) {
+ParallelMeshResult parallel_generate_mesh(const Options& opts,
+                                          ProtocolTrace* trace) {
+  std::vector<OptionIssue> issues = opts.validate();
+  if (opts.ranks < 1) {
+    issues.push_back({OptionIssue::Severity::kError, "ranks",
+                      "parallel run requires ranks >= 1"});
+  }
+  for (const OptionIssue& i : issues) {
+    if (i.is_error()) {
+      // Thrown on the caller's thread, before any pool thread exists.
+      throw std::invalid_argument(  // aerolint: allow(runtime-throw)
+          "invalid options:\n" + format_issues(issues));
+    }
+  }
   ParallelMeshResult result;
   obs::apply(trace_config(opts));
   AERO_TRACE_THREAD("driver", -1);
@@ -27,12 +36,13 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   // Nothing in this block is ever fatal: a missing, corrupt, or mismatched
   // journal degrades to re-meshing from scratch, and an unopenable sink
   // degrades to an unjournaled run.
+  const std::uint64_t config_hash = mesh_config_hash(opts);
   CheckpointSummary& cs = result.resilience;
   JournalContents loaded;
   bool resume_active = false;
-  if (!resilience.resume_path.empty()) {
+  if (!opts.resume_path.empty()) {
     cs.resume_attempted = true;
-    loaded = read_journal(resilience.resume_path, resilience.config_hash);
+    loaded = read_journal(opts.resume_path, config_hash);
     if (!loaded.header_ok) {
       cs.resume_rejected = true;
       cs.resume_error =
@@ -48,37 +58,45 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
     }
   }
   const ResumeState resume(loaded);
+  // --resume without --checkpoint appends in place, so an interrupted
+  // resume is itself resumable.
+  const std::string& checkpoint_path =
+      opts.checkpoint_path.empty() ? opts.resume_path : opts.checkpoint_path;
   CheckpointSink sink;
-  if (!resilience.checkpoint_path.empty()) {
+  if (!checkpoint_path.empty()) {
     // Append in place only when extending the very journal we resumed from
     // AND its tail was clean; a discarded tail means garbage bytes sit past
     // the last intact record, so the file is rewritten fresh instead (the
     // pool re-records every resumed leaf, repopulating it as the run goes).
-    const bool append_in_place =
-        resume_active && resilience.checkpoint_path == resilience.resume_path &&
-        loaded.discarded_bytes == 0;
-    if (sink.open(resilience.checkpoint_path, resilience.config_hash,
-                  append_in_place) &&
+    const bool append_in_place = resume_active &&
+                                 checkpoint_path == opts.resume_path &&
+                                 loaded.discarded_bytes == 0;
+    if (sink.open(checkpoint_path, config_hash, append_in_place) &&
         append_in_place) {
       for (const JournalRecord& r : loaded.records) sink.seed(r.key);
     }
   }
 
   PoolOptions pool_opts;
-  pool_opts.nranks = nranks;
-  pool_opts.bl_decompose = bl_decompose_options(opts);
-  pool_opts.inviscid_target_triangles = opts.inviscid_target_triangles;
-  pool_opts.inviscid_max_level = opts.inviscid_max_level;
-  pool_opts.faults = faults;
+  pool_opts.nranks = opts.ranks;
+  pool_opts.rules = tree_rules(opts);
+  pool_opts.faults.enabled = opts.fault_rate > 0.0;
+  pool_opts.faults.seed = opts.fault_seed;
+  pool_opts.faults.drop_rate = opts.fault_rate;
+  pool_opts.faults.duplicate_rate = opts.fault_rate / 2.0;
+  pool_opts.faults.corrupt_rate = opts.fault_rate / 2.0;
+  pool_opts.faults.delay_rate = opts.fault_rate / 2.0;
   pool_opts.trace = trace;
-  pool_opts.tuning = tuning;
-  pool_opts.budget = resilience.budget;
-  pool_opts.stop = resilience.stop_flag;
+  pool_opts.ack_timeout = std::chrono::milliseconds(opts.ack_timeout_ms);
+  pool_opts.heartbeat_timeout =
+      std::chrono::milliseconds(opts.heartbeat_timeout_ms);
+  pool_opts.watchdog_timeout =
+      std::chrono::seconds(scaled_watchdog_seconds(opts));
+  pool_opts.budget.wall_ms = opts.budget_wall_ms;
+  pool_opts.budget.peak_rss_mb = opts.budget_rss_mb;
+  pool_opts.stop = opts.stop_flag;
   pool_opts.checkpoint = sink.is_open() ? &sink : nullptr;
   pool_opts.resume = resume_active ? &resume : nullptr;
-  pool_opts.spill_dir = opts.merge_spill_dir;
-  pool_opts.merge_resident_bytes =
-      static_cast<std::size_t>(opts.merge_resident_mb) << 20;
 
   run_stages(
       opts,
@@ -109,49 +127,6 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
     AERO_TRACE_INSTANT("pipeline", "checkpoint_flush_failed");
   }
   return result;
-}
-
-ParallelMeshResult parallel_generate_mesh(const Options& opts,
-                                          ProtocolTrace* trace) {
-  std::vector<OptionIssue> issues = opts.validate();
-  if (opts.ranks < 1) {
-    issues.push_back({OptionIssue::Severity::kError, "ranks",
-                      "parallel run requires ranks >= 1"});
-  }
-  for (const OptionIssue& i : issues) {
-    if (i.is_error()) {
-      // Thrown on the caller's thread, before any pool thread exists.
-      throw std::invalid_argument(  // aerolint: allow(runtime-throw)
-          "invalid options:\n" + format_issues(issues));
-    }
-  }
-  FaultConfig faults;
-  faults.enabled = opts.fault_rate > 0.0;
-  faults.seed = opts.fault_seed;
-  faults.drop_rate = opts.fault_rate;
-  faults.duplicate_rate = opts.fault_rate / 2.0;
-  faults.corrupt_rate = opts.fault_rate / 2.0;
-  faults.delay_rate = opts.fault_rate / 2.0;
-  PoolTuning tuning;
-  tuning.ack_timeout = std::chrono::milliseconds(opts.ack_timeout_ms);
-  tuning.heartbeat_timeout =
-      std::chrono::milliseconds(opts.heartbeat_timeout_ms);
-  tuning.watchdog_timeout = std::chrono::seconds(scaled_watchdog_seconds(opts));
-  tuning.threads_per_rank = opts.threads_per_rank;
-  ResilienceOptions resilience;
-  resilience.budget.wall_ms = opts.budget_wall_ms;
-  resilience.budget.peak_rss_mb = opts.budget_rss_mb;
-  resilience.stop_flag = opts.stop_flag;
-  resilience.checkpoint_path = opts.checkpoint_path;
-  resilience.resume_path = opts.resume_path;
-  if (resilience.checkpoint_path.empty() && !resilience.resume_path.empty()) {
-    // --resume without --checkpoint appends in place, so an interrupted
-    // resume is itself resumable.
-    resilience.checkpoint_path = resilience.resume_path;
-  }
-  resilience.config_hash = mesh_config_hash(opts);
-  return parallel_generate_mesh(opts, opts.ranks, faults, trace, tuning,
-                                resilience);
 }
 
 void publish_pool_metrics(const PoolStats& stats, const std::string& prefix) {
@@ -193,12 +168,6 @@ void publish_pool_metrics(const PoolStats& stats, const std::string& prefix) {
   count("checkpoint_failures", stats.checkpoint_failures);
   count("injected_crashes", stats.injected_crashes);
   count("injected_mesher_kills", stats.injected_mesher_kills);
-  count("spill_records", stats.spill_records);
-  count("spill_bytes", stats.spill_bytes);
-  count("spill_write_failures", stats.spill_write_failures);
-  count("spill_max_record_bytes", stats.spill_max_record_bytes);
-  count("merge_windows", stats.merge_windows);
-  count("merge_resident_peak_bytes", stats.merge_resident_peak_bytes);
   reg.gauge(prefix + "wall_seconds").set(stats.wall_seconds);
 
   // Issue-mandated global names (aggregated across pool passes), alongside

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,23 +9,6 @@
 #include "runtime/pool.hpp"
 
 namespace aero {
-
-/// Run-level resilience wiring for the struct-poking driver overload (the
-/// Options entry point derives this from the flat knobs). Everything is
-/// optional; the defaults are a plain uncheckpointed, unbudgeted run.
-struct ResilienceOptions {
-  /// Wall/RSS budget enforced per pool pass (0 = unlimited).
-  RunBudget budget;
-  /// External stop request; flipping the pointee true drains the run.
-  const std::atomic<bool>* stop_flag = nullptr;
-  /// Journal to stream finalized subdomains into ("" = no checkpointing).
-  std::string checkpoint_path;
-  /// Journal to resume from ("" = fresh run).
-  std::string resume_path;
-  /// Canonical options+geometry hash stamped into (and demanded of) the
-  /// journal; use mesh_config_hash(opts).
-  std::uint64_t config_hash = 0;
-};
 
 /// Completeness and checkpoint/resume accounting for one driver run,
 /// aggregated over both pool passes. This is the data behind the CLI's
@@ -59,36 +40,25 @@ struct ParallelMeshResult : StageResult {
 };
 
 /// The push-button pipeline with the subdomain work distributed over an
-/// in-process rank pool (the MPI-substitute runtime): run_stages with
-/// run_pool as the phase runner, so boundary-layer decomposition and
-/// triangulation run in one pool pass and inviscid decoupling and refinement
-/// in a second (the interface between them is extracted from the assembled
-/// boundary-layer mesh, which is the one global synchronization point of the
-/// pipeline).
+/// in-process rank pool of `opts.ranks` ranks (the MPI-substitute runtime):
+/// run_stages with run_pool as the phase runner, so boundary-layer
+/// decomposition and triangulation run in one pool pass and inviscid
+/// decoupling and refinement in a second (the interface between them is
+/// extracted from the assembled boundary-layer mesh, which is the one global
+/// synchronization point of the pipeline).
 ///
-/// `faults` configures the chaos fabric for the run (disabled by default);
-/// the fault-*tolerance* machinery (CRC framing, acked transfers, watchdog)
-/// is always on. A non-null `trace` records both pool passes' protocol
-/// events for audit_protocol(); `opts.phase_hook` fires at the same phase
-/// boundaries as in the sequential pipeline. `tuning` sets the
-/// fault-tolerance timeouts and the refiner's scan threads for both pool
-/// passes. `resilience` wires
-/// checkpointing, resume, budgets, and the external stop flag; a run
-/// stopped mid-boundary-layer returns the raw partial BL mesh (no ring
-/// restriction, no inviscid pass) -- valid, conformal, and resumable.
-/// This fine-grained overload does NOT validate and ignores the fault /
-/// timeout / resilience knobs on `opts` in favor of the explicit structs
-/// (chaos fixtures need rates the flat knobs cannot express); `nranks`
-/// overrides `opts.ranks`.
-ParallelMeshResult parallel_generate_mesh(
-    const Options& opts, int nranks,
-    const FaultConfig& faults = {}, ProtocolTrace* trace = nullptr,
-    const PoolTuning& tuning = {}, const ResilienceOptions& resilience = {});
-
-/// The unified-Options entry point: validates (throwing std::invalid_argument
-/// on errors, including ranks < 1), derives the fault/tuning structs from
-/// the flat knobs (drop at `fault_rate`, duplication/corruption/delay at half
-/// of it — the CLI's historical chaos mix), and runs the pool.
+/// Validates first, throwing std::invalid_argument on any error (including
+/// ranks < 1). `fault_rate` arms the chaos fabric (drop at the rate,
+/// duplication/corruption/delay at half of it); the fault-*tolerance*
+/// machinery (CRC framing, acked transfers, watchdog) is always on. A
+/// non-null `trace` records both pool passes' protocol events for
+/// audit_protocol(); `opts.phase_hook` fires at the same phase boundaries as
+/// in the sequential pipeline. The budget, stop-flag, checkpoint and resume
+/// knobs wire run-level resilience; journals carry mesh_config_hash(opts),
+/// and a `resume_path` without a `checkpoint_path` appends to the resumed
+/// journal, so an interrupted resume is itself resumable. A run stopped
+/// mid-boundary-layer returns the raw partial BL mesh (no ring restriction,
+/// no inviscid pass) -- valid, conformal, and resumable.
 ParallelMeshResult parallel_generate_mesh(const Options& opts,
                                           ProtocolTrace* trace = nullptr);
 

@@ -1,11 +1,7 @@
 #include "runtime/pool.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <memory>
@@ -13,7 +9,6 @@
 #include <thread>
 
 #include "core/timer.hpp"
-#include "io/journal.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/trace.hpp"
 #include "runtime/checkpoint.hpp"
@@ -126,27 +121,9 @@ struct SharedState {
   Mutex results_m AERO_LOCK_NAME("pool.results", 30);
   std::map<int, MeshView> results AERO_GUARDED_BY(results_m);
 
-  /// Out-of-core finalization (see PoolOptions::spill_dir). `spilling` and
-  /// `spill_path` are decided once before any worker thread starts; the
-  /// writer serializes its own appends. Blocks whose spill write failed fall back to this resident
-  /// overflow map, keyed identically to their would-be spill records, so the
-  /// merge walks one global key order regardless of where a block ended up.
-  bool spilling = false;
-  std::string spill_path;
-  JournalWriter spill;
-  std::atomic<std::uint64_t> spill_seq AERO_ATOMIC_ROLE(counter){0};
-  std::atomic<std::size_t> spill_records AERO_ATOMIC_ROLE(counter){0};
-  std::atomic<std::size_t> spill_payload_bytes AERO_ATOMIC_ROLE(counter){0};
-  std::atomic<std::size_t> spill_max_record AERO_ATOMIC_ROLE(counter){0};
-  std::atomic<std::size_t> spill_failures AERO_ATOMIC_ROLE(counter){0};
-  Mutex overflow_m AERO_LOCK_NAME("pool.spill_overflow", 35);
-  std::map<std::uint64_t, MeshView> spill_overflow AERO_GUARDED_BY(overflow_m);
-
   std::chrono::steady_clock::time_point deadline;
   const GradedSizing* sizing = nullptr;
   const PoolOptions* opts = nullptr;
-  /// The tree's split/mesh rules, from this pool's decomposition values.
-  TreeRules rules;
 
   explicit SharedState(const PoolOptions& o)
       : comm(o.nranks),
@@ -176,38 +153,6 @@ void trace_event(SharedState& shared, ProtocolEvent::Kind kind,
   }
 }
 
-/// Spill-record key of a finalized piece. Root pieces (rank 0's own leaves,
-/// resume replays, fallback output) take (0 << 32) | seq with seq in append
-/// order; rank r's single gathered piece takes (r << 32). Sorting all keys
-/// ascending therefore replays exactly the in-RAM merge order -- rank 0's
-/// pieces in append order, then each rank's piece rank-ascending -- which
-/// is what keeps the spill-merged mesh bit-identical to the resident one.
-std::uint64_t spill_rank_key(int rank) {
-  return static_cast<std::uint64_t>(rank) << 32;
-}
-
-/// Stream one finalized piece to the root's spill journal under `key`, as
-/// its "AMSH" blob (the checkpoint record form). A write failure (disk full,
-/// torn mount) degrades the piece to the resident overflow map --
-/// out-of-core finalization is an optimization, never a correctness
-/// dependency.
-void spill_piece(SharedState& shared, std::uint64_t key, MeshView piece) {
-  if (piece.triangle_count() == 0) return;
-  const std::vector<std::uint8_t> bytes = piece.serialize();
-  if (shared.spill.append(key, bytes.data(), bytes.size())) {
-    shared.spill_records.fetch_add(1);
-    shared.spill_payload_bytes.fetch_add(bytes.size());
-    std::size_t prev = shared.spill_max_record.load();
-    while (prev < bytes.size() &&
-           !shared.spill_max_record.compare_exchange_weak(prev, bytes.size())) {
-    }
-    return;
-  }
-  shared.spill_failures.fetch_add(1);
-  const MutexLock lock(shared.overflow_m);
-  shared.spill_overflow.emplace(key, std::move(piece));
-}
-
 /// Checkpoint/resume identity of `unit`, or 0 when neither is active. The
 /// key hashes the unit's *content* (id and fault history excluded), so a
 /// leaf finished by a previous interrupted run is recognized no matter
@@ -220,32 +165,27 @@ std::uint64_t journal_key(const PoolOptions& opts, const WorkUnit& unit) {
 
 /// Keep a finalized leaf's piece. It is journaled first when checkpointing,
 /// so a crash right after loses nothing (a failed append is absorbed: the
-/// run continues unjournaled and the sink counts the failure). Then rank 0
-/// spills it when spilling; otherwise the rank holds it until the gather.
-/// Empty pieces are not held, so a rank holding none meshed nothing.
-void keep_leaf(SharedState& shared, RankState& rs, int rank,
-               std::uint64_t key, MeshView piece) {
+/// run continues unjournaled and the sink counts the failure). Then the rank
+/// holds it until the gather. Empty pieces are not held, so a rank holding
+/// none meshed nothing.
+void keep_leaf(SharedState& shared, RankState& rs, std::uint64_t key,
+               MeshView piece) {
   CheckpointSink* sink = shared.opts->checkpoint;
   if (sink != nullptr && !sink->record(key, piece)) {
     AERO_TRACE_INSTANT_ARG("pool", "checkpoint_write_failed", key);
   }
-  if (rank == 0 && shared.spilling) {
-    spill_piece(shared, shared.spill_seq.fetch_add(1), std::move(piece));
-  } else if (piece.triangle_count() > 0) {
-    rs.pieces.push_back(std::move(piece));
-  }
+  if (piece.triangle_count() > 0) rs.pieces.push_back(std::move(piece));
 }
 
 /// Replay the leaf `key` names when a previous run journaled it; false when
 /// the unit must be meshed. Re-recording the stored piece keeps a fresh
 /// journal complete, and is a no-op when appending to the journal it came
 /// from.
-bool replay_resumed(SharedState& shared, RankState& rs, int rank,
-                    std::uint64_t key) {
+bool replay_resumed(SharedState& shared, RankState& rs, std::uint64_t key) {
   const ResumeState* resume = shared.opts->resume;
   const MeshView* stored = resume != nullptr ? resume->find(key) : nullptr;
   if (stored == nullptr) return false;
-  keep_leaf(shared, rs, rank, key, *stored);
+  keep_leaf(shared, rs, key, *stored);
   shared.resumed.fetch_add(1);
   shared.completed.fetch_add(1);
   return true;
@@ -315,7 +255,7 @@ void send_unit(SharedState& shared, int rank, int dest, int tag,
                                  serialize(unit, &shared.buffers));
   in_flight[p.nonce] =
       InFlight{dest, tag, std::move(p.frame),
-               mono_now() + shared.opts->tuning.ack_timeout, 0, p.slot};
+               mono_now() + shared.opts->ack_timeout, 0, p.slot};
 }
 
 void push_local(SharedState& shared, RankState& rs, WorkUnit unit) {
@@ -362,7 +302,7 @@ void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
   const PoolOptions& opts = *shared.opts;
 
   const std::uint64_t key = journal_key(opts, unit);
-  if (replay_resumed(shared, rs, rank, key)) {
+  if (replay_resumed(shared, rs, key)) {
     ++rs.tasks_done;
     AERO_TRACE_INSTANT_ARG("pool", "resume_hit", unit.id);
     trace_event(shared, ProtocolEvent::Kind::kUnitCompleted, unit.id, rank);
@@ -381,7 +321,7 @@ void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
       if (shared.injector.unit_should_fail(unit.id)) {
         throw std::runtime_error("injected unit fault");
       }
-      expand_unit(unit, *shared.sizing, shared.rules, children, piece);
+      expand_unit(unit, *shared.sizing, shared.opts->rules, children, piece);
       ok = true;
       break;
     } catch (...) {
@@ -400,7 +340,7 @@ void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
         push_local(shared, rs, std::move(c));
       }
     } else {
-      keep_leaf(shared, rs, rank, key, std::move(piece));
+      keep_leaf(shared, rs, key, std::move(piece));
     }
     ++rs.tasks_done;
     shared.completed.fetch_add(1);
@@ -520,20 +460,11 @@ void root_accept_result(SharedState& shared, const Message& msg) {
     shared.window_bytes.fetch_add(bytes->size());
     const std::size_t logical_bytes = bytes->size();
     shared.buffers.release(std::move(*bytes));
-    bool accepted = false;
     {
       MutexLock lock(shared.results_m);
-      // When spilling, an empty view is a presence marker only: the piece
-      // goes to the spill file, while the marker keeps the nonce dedupe and
-      // the missing-results accounting exactly as in the resident path.
-      accepted = shared.results
-                     .emplace(from, shared.spilling ? MeshView{}
-                                                    : std::move(piece))
-                     .second;
-      if (accepted) shared.result_bytes.fetch_add(logical_bytes);
-    }
-    if (accepted && shared.spilling) {
-      spill_piece(shared, spill_rank_key(from), std::move(piece));
+      if (shared.results.emplace(from, std::move(piece)).second) {
+        shared.result_bytes.fetch_add(logical_bytes);
+      }
     }
     trace_event(shared, ProtocolEvent::Kind::kAccept, parsed->nonce, 0, from);
   } else {
@@ -568,7 +499,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   AERO_TRACE_THREAD("comm", rank);
   RankState& rs = ranks[static_cast<std::size_t>(rank)];
   const PoolOptions& opts = *shared.opts;
-  const auto request_timeout = opts.tuning.ack_timeout * 4;
+  const auto request_timeout = opts.ack_timeout * 4;
   bool requested = false;
   auto request_deadline = mono_now();
   auto last_update = mono_now();
@@ -715,7 +646,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
           shared.retransmits.fetch_add(1);
           ++rs.retransmits_sent;
           AERO_TRACE_INSTANT_ARG("pool", "retransmit", it->first);
-          f.deadline = now + opts.tuning.ack_timeout;
+          f.deadline = now + opts.ack_timeout;
           ++f.tries;
           ++it;
         }
@@ -865,7 +796,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
         shared, rank, 0, kTagResult,
         serialize_piece(MeshView::concat(rs.pieces), &shared.buffers));
     const std::uint64_t nonce = sent.nonce;
-    auto deadline = mono_now() + opts.tuning.ack_timeout;
+    auto deadline = mono_now() + opts.ack_timeout;
     int tries = 0;
     bool acked = false;
     while (!shared.abort.load()) {
@@ -885,7 +816,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
         shared.retransmits.fetch_add(1);
         ++rs.retransmits_sent;
         AERO_TRACE_INSTANT("pool", "retransmit_result");
-        deadline = now + opts.tuning.ack_timeout;
+        deadline = now + opts.ack_timeout;
       }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -988,7 +919,7 @@ void monitor_main(SharedState& shared, std::vector<RankState>& ranks) {
     }
 
     if (shared.shutdown_broadcast.load() && !aborted &&
-        now - last_rebroadcast >= opts.tuning.ack_timeout) {
+        now - last_rebroadcast >= opts.ack_timeout) {
       // A dropped shutdown must not strand a communicator forever.
       last_rebroadcast = now;
       for (int r = 0; r < n; ++r) {
@@ -1017,7 +948,7 @@ void monitor_main(SharedState& shared, std::vector<RankState>& ranks) {
         last_advance[ri] = now;
         continue;
       }
-      if (now - last_advance[ri] >= opts.tuning.heartbeat_timeout) {
+      if (now - last_advance[ri] >= opts.heartbeat_timeout) {
         shared.dead[ri].store(true);
         shared.dead_count.fetch_add(1);
         AERO_TRACE_INSTANT_ARG("pool", "rank_dead", r);
@@ -1046,119 +977,6 @@ void monitor_main(SharedState& shared, std::vector<RankState>& ranks) {
   }
 }
 
-/// Spill journals claimed by this process so far; with the process id it
-/// makes every pool pass's spill name unique.
-std::atomic<std::uint64_t> g_spill_passes AERO_ATOMIC_ROLE(counter){0};
-
-/// Claim a spill journal of this pool pass's own in `dir`. The name carries
-/// the process id and a process-wide pass counter, so concurrent runs in
-/// other processes and other pools of this one pick different names, and
-/// the exclusive create makes the claim atomic even against a stale file
-/// left by a crashed process with a recycled id. "" when no file could be
-/// created; the pass then merges in RAM.
-std::string claim_spill_path(const std::string& dir) {
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    const std::string path =
-        dir + "/aeromesh-" + std::to_string(::getpid()) + "-" +
-        std::to_string(g_spill_passes.fetch_add(1)) + ".spill";
-    if (std::FILE* f = std::fopen(path.c_str(), "wbx")) {
-      if (std::fclose(f) == 0) return path;
-      std::remove(path.c_str());
-      return "";
-    }
-    if (errno != EEXIST) return "";
-  }
-  return "";
-}
-
-/// Out-of-core finalization: seal the spill journal, index it with the
-/// bounded-memory scanner, and append every piece to `out` in global key
-/// order, loading at most `merge_resident_bytes` of payload at a time (one
-/// record minimum, so an oversized piece still merges). Pieces that
-/// overflowed to RAM on a spill-write failure are interleaved at their key
-/// position, so the merged order is identical to the resident path's.
-void merge_spilled(SharedState& shared, const PoolOptions& opts,
-                   MergedMesh& out, PoolStats& stats,
-                   std::size_t& lost_units) {
-  if (!shared.spill.flush()) {
-    AERO_TRACE_INSTANT("pool", "spill_flush_failed");
-  }
-  shared.spill.close();
-
-  JournalIndex index = scan_journal_index(shared.spill_path, 0);
-  std::sort(index.frames.begin(), index.frames.end(),
-            [](const JournalFrame& a, const JournalFrame& b) {
-              return a.key < b.key;
-            });
-  // A torn tail (disk full mid-append) drops whole pieces; surface the loss
-  // through the same accounting as an unmeshable unit so the run reports
-  // kPartial instead of a silently thinner mesh.
-  const std::size_t written = shared.spill_records.load();
-  if (index.frames.size() < written) {
-    lost_units += written - index.frames.size();
-  }
-
-  std::map<std::uint64_t, MeshView> overflow;
-  {
-    const MutexLock lock(shared.overflow_m);
-    overflow.swap(shared.spill_overflow);
-  }
-  auto ov = overflow.begin();
-  const auto emit_overflow_below = [&](std::uint64_t key) {
-    for (; ov != overflow.end() && ov->first < key; ++ov) out.append(ov->second);
-  };
-
-  JournalReader reader;
-  const bool reader_ok = reader.open(shared.spill_path);
-  const std::size_t budget =
-      opts.merge_resident_bytes > 0 ? opts.merge_resident_bytes : 1;
-  std::size_t fi = 0;
-  std::vector<std::vector<std::uint8_t>> loaded;
-  while (fi < index.frames.size()) {
-    // Window = the longest run of key-ordered frames whose payloads fit the
-    // resident budget (always at least one frame).
-    std::size_t fj = fi;
-    std::size_t window_bytes = 0;
-    while (fj < index.frames.size()) {
-      const std::size_t len = index.frames[fj].payload_len;
-      if (fj > fi && window_bytes + len > budget) break;
-      window_bytes += len;
-      ++fj;
-    }
-    loaded.assign(fj - fi, {});
-    std::size_t resident = 0;
-    for (std::size_t k = fi; k < fj; ++k) {
-      if (!reader_ok || !reader.read(index.frames[k], loaded[k - fi])) {
-        loaded[k - fi].clear();  // torn between scan and read; piece lost
-        ++lost_units;
-        continue;
-      }
-      resident += loaded[k - fi].size();
-    }
-    ++stats.merge_windows;
-    if (resident > stats.merge_resident_peak_bytes) {
-      stats.merge_resident_peak_bytes = resident;
-    }
-    for (std::size_t k = fi; k < fj; ++k) {
-      emit_overflow_below(index.frames[k].key);
-      const std::vector<std::uint8_t>& payload = loaded[k - fi];
-      if (payload.empty()) continue;  // read failure, counted above
-      MeshView piece;
-      if (MeshView::parse(payload, piece) != MeshBlobStatus::kOk) {
-        ++lost_units;
-        continue;
-      }
-      out.append(piece);
-    }
-    fi = fj;
-  }
-  for (; ov != overflow.end(); ++ov) out.append(ov->second);
-  reader.close();
-  // The spill is single-pass scratch; remove it once merged. A failed
-  // remove leaves a file no later pass will ever claim again.
-  std::remove(shared.spill_path.c_str());
-}
-
 }  // namespace
 
 PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
@@ -1178,22 +996,7 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   SharedState shared(opts);
   shared.sizing = &sizing;
   shared.opts = &opts;
-  shared.rules = TreeRules{.bl_decompose = opts.bl_decompose,
-                           .inviscid_target_triangles =
-                               opts.inviscid_target_triangles,
-                           .inviscid_max_level = opts.inviscid_max_level,
-                           .refine_threads = opts.tuning.threads_per_rank};
-  if (!opts.spill_dir.empty()) {
-    // Hash 0: the spill is a single-pass scratch file, created and consumed
-    // here; an unclaimable or unopenable spill degrades to the in-RAM merge.
-    shared.spill_path = claim_spill_path(opts.spill_dir);
-    if (!shared.spill_path.empty()) {
-      shared.spilling =
-          shared.spill.open(shared.spill_path, 0, /*append=*/false);
-      if (!shared.spilling) std::remove(shared.spill_path.c_str());
-    }
-  }
-  shared.deadline = mono_now() + opts.tuning.watchdog_timeout;
+  shared.deadline = mono_now() + opts.watchdog_timeout;
   shared.outstanding.store(static_cast<long>(initial.size()),
                          std::memory_order_relaxed);
 
@@ -1243,7 +1046,7 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
     WorkUnit unit = std::move(fallback.back());
     fallback.pop_back();
     const std::uint64_t key = journal_key(opts, unit);
-    if (replay_resumed(shared, ranks[0], 0, key)) {
+    if (replay_resumed(shared, ranks[0], key)) {
       trace_event(shared, ProtocolEvent::Kind::kUnitCompleted, unit.id, 0);
       continue;
     }
@@ -1255,7 +1058,7 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
     std::vector<WorkUnit> children;
     MeshView piece;
     try {
-      expand_unit(unit, sizing, shared.rules, children, piece);
+      expand_unit(unit, sizing, opts.rules, children, piece);
     } catch (...) {
       ++lost_units;  // genuinely unmeshable, not an injected fault
       trace_event(shared, ProtocolEvent::Kind::kUnitLost, unit.id, 0);
@@ -1268,17 +1071,11 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
       trace_event(shared, ProtocolEvent::Kind::kUnitCreated, c.id, 0);
       fallback.push_back(std::move(c));
     }
-    if (children.empty()) keep_leaf(shared, ranks[0], 0, key, std::move(piece));
+    if (children.empty()) keep_leaf(shared, ranks[0], key, std::move(piece));
   }
 
-  // Root-side merge: rank 0's own pieces plus every gathered rank piece --
-  // either resident (the two loops below) or replayed from the spill file
-  // window-by-window under the resident budget. The spill keys reproduce
-  // exactly this loop's order (see spill_rank_key), so both paths build the
-  // identical mesh.
-  if (shared.spilling) {
-    merge_spilled(shared, opts, out, stats, lost_units);
-  }
+  // Root-side merge: rank 0's own pieces in append order, then every
+  // gathered rank piece rank-ascending.
   for (const MeshView& piece : ranks[0].pieces) out.append(piece);
   {
     MutexLock lock(shared.results_m);
@@ -1326,13 +1123,6 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
                                  : 0;
   stats.injected_crashes = shared.crashes.load();
   stats.injected_mesher_kills = shared.mesher_kills.load();
-  stats.spill_records = shared.spill_records.load(std::memory_order_relaxed);
-  stats.spill_bytes =
-      shared.spill_payload_bytes.load(std::memory_order_relaxed);
-  stats.spill_write_failures =
-      shared.spill_failures.load(std::memory_order_relaxed);
-  stats.spill_max_record_bytes =
-      shared.spill_max_record.load(std::memory_order_relaxed);
   stats.stop_cause = static_cast<StopCause>(shared.stop_cause.load());
   {
     const CommStats cs = shared.comm.stats();

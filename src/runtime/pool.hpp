@@ -15,26 +15,6 @@ namespace aero {
 class CheckpointSink;
 class ResumeState;
 
-/// Robustness tuning shared by the pool, drivers, and CLI: the
-/// fault-tolerance timeouts and the refiner's scan threads. Kept as its own
-/// struct so callers (benches, tests, aeromesh flags) can thread it through
-/// parallel_generate_mesh without restating every pool option.
-struct PoolTuning {
-  /// Unacknowledged work transfers are retransmitted after this long.
-  std::chrono::milliseconds ack_timeout{25};
-  /// A rank whose heartbeat stalls this long is declared dead: its queued
-  /// work is reclaimed by the root and nobody waits on its results.
-  std::chrono::milliseconds heartbeat_timeout{500};
-  /// Global bound on the whole run (including the result gather). When it
-  /// expires the pool is force-terminated and reports RunStatus::kFailed.
-  std::chrono::seconds watchdog_timeout{120};
-  /// Intra-rank threads for each subdomain refinement (RefineOptions::
-  /// threads on the mesher's refine_subdomain calls). Performance-only:
-  /// the refined subdomain mesh is identical at every value, so this is
-  /// runtime tuning like the timeouts above, never mesh-defining.
-  int threads_per_rank = 1;
-};
-
 /// Run-level budget enforced by the pool's monitor thread. Unlike the
 /// watchdog (a hard fault bound that aborts), exceeding a budget drains the
 /// run gracefully: in-flight units finish, queued work is dropped, results
@@ -73,11 +53,8 @@ struct PoolOptions {
   /// Period of the RMA window load updates.
   std::chrono::microseconds update_period{200};
 
-  /// Boundary-layer decomposition tolerances.
-  DecomposeOptions bl_decompose;
-  /// Inviscid decoupling recursion target and cap.
-  double inviscid_target_triangles = 40000.0;
-  int inviscid_max_level = 10;
+  /// The tree's split/mesh rules; drivers build them with tree_rules(opts).
+  TreeRules rules;
 
   /// Fault injection (off by default; the recovery machinery is always on).
   FaultConfig faults;
@@ -89,8 +66,14 @@ struct PoolOptions {
   /// default; recording takes one short lock per protocol event.
   ProtocolTrace* trace = nullptr;
 
-  /// Robustness timeouts and refiner threads (see PoolTuning).
-  PoolTuning tuning;
+  /// Unacknowledged work transfers are retransmitted after this long.
+  std::chrono::milliseconds ack_timeout{25};
+  /// A rank whose heartbeat stalls this long is declared dead: its queued
+  /// work is reclaimed by the root and nobody waits on its results.
+  std::chrono::milliseconds heartbeat_timeout{500};
+  /// Global bound on the whole run (including the result gather). When it
+  /// expires the pool is force-terminated and reports RunStatus::kFailed.
+  std::chrono::seconds watchdog_timeout{120};
 
   // -- Run-level resilience ------------------------------------------------
   /// Wall/RSS budget; on exhaustion the monitor drains instead of aborting.
@@ -105,23 +88,6 @@ struct PoolOptions {
   /// Completed subdomains loaded from a previous run's journal: leaves
   /// found here replay their stored piece instead of re-meshing.
   const ResumeState* resume = nullptr;
-
-  // -- Out-of-core finalization --------------------------------------------
-  /// When non-empty, the root streams every finalized mesh piece (its own
-  /// leaves, resume replays, gathered rank pieces, fallback output) into
-  /// a CRC-framed spill journal instead of holding them resident, then
-  /// merges window-by-window under `merge_resident_bytes` and deletes the
-  /// journal. Each pool pass creates its own journal in this directory
-  /// exclusively (named after the process id and a process-wide pass
-  /// counter), so runs sharing the directory never touch each other's
-  /// files. The merged mesh is bit-identical to the in-RAM path; a spill
-  /// write failure degrades that piece back to resident, never the run.
-  /// "" = in-RAM merge.
-  std::string spill_dir;
-  /// Resident-payload budget of the windowed spill merge, in bytes. At
-  /// least one record is always loaded per window, so the merge progresses
-  /// even when a single piece exceeds the budget.
-  std::size_t merge_resident_bytes = std::size_t{256} << 20;
 };
 
 /// Statistics of a pool run.
@@ -174,18 +140,6 @@ struct PoolStats {
   std::size_t injected_crashes = 0;      ///< ranks crashed by the injector
   std::size_t injected_mesher_kills = 0; ///< mesher threads killed by it
   StopCause stop_cause = StopCause::kNone;  ///< why a kStopped run drained
-
-  // Out-of-core finalization accounting (zero unless spill_dir was set).
-  std::size_t spill_records = 0;  ///< pieces streamed to the spill
-  std::size_t spill_bytes = 0;    ///< payload bytes written to the spill
-  std::size_t spill_write_failures = 0;  ///< pieces degraded to resident
-  std::size_t spill_max_record_bytes = 0;  ///< largest single spilled piece
-  std::size_t merge_windows = 0;  ///< bounded-resident merge passes
-  /// Largest window resident set. Bounded by merge_resident_bytes, except
-  /// that a single record larger than the whole budget still merges as its
-  /// own window (the merge never splits a record), so the true invariant is
-  /// peak <= max(merge_resident_bytes, spill_max_record_bytes).
-  std::size_t merge_resident_peak_bytes = 0;
 
   // Per-rank load balance, indexed by rank (filled from thread-owned
   // accumulators after the pool threads join; feeds the obs load report).

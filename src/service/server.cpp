@@ -22,7 +22,6 @@ namespace {
 Options scrub_server_side(Options opts) {
   opts.checkpoint_path.clear();
   opts.resume_path.clear();
-  opts.merge_spill_dir.clear();  // spill placement is the operator's call
   opts.stop_flag = nullptr;
   opts.phase_hook = nullptr;
   opts.budget_wall_ms = 0;

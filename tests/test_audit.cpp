@@ -331,10 +331,10 @@ TEST(AuditPipeline, ParallelProtocolTraceClean) {
   cfg.inviscid_target_triangles = 8000.0;
   cfg.bl_min_points = 800;
   cfg.bl_max_level = 10;
+  cfg.ranks = 2;
 
   ProtocolTrace trace;
-  const ParallelMeshResult r =
-      parallel_generate_mesh(cfg, /*nranks=*/2, FaultConfig{}, &trace);
+  const ParallelMeshResult r = parallel_generate_mesh(cfg, &trace);
   ASSERT_EQ(r.status, RunStatus::kOk);
   EXPECT_GT(trace.size(), 0u);
 

@@ -275,10 +275,10 @@ struct CheckpointFixture {
     opts.nranks = 4;
     opts.steal_threshold = 1.0;
     opts.update_period = std::chrono::microseconds(50);
-    opts.inviscid_target_triangles = cfg.inviscid_target_triangles;
+    opts.rules = tree_rules(cfg);
     // This box oversubscribes all pool threads onto very few cores.
-    opts.tuning.heartbeat_timeout = std::chrono::milliseconds(1000);
-    opts.tuning.watchdog_timeout = std::chrono::seconds(120);
+    opts.heartbeat_timeout = std::chrono::milliseconds(1000);
+    opts.watchdog_timeout = std::chrono::seconds(120);
   }
 };
 
@@ -561,21 +561,23 @@ TEST(PoolResilience, MesherKillLeavesAResumableJournal) {
 // ---------------------------------------------------------------------------
 // Driver-level end-to-end: both pool passes share one journal.
 
+/// The fixture's job on a 4-rank pool through the Options entry point.
+Options driver_cfg() {
+  Options cfg = fixture().cfg;
+  cfg.ranks = 4;
+  return cfg;
+}
+
 TEST(DriverResilience, CheckpointResumeEndToEnd) {
-  const CheckpointFixture& fx = fixture();
   TempJournal tj("driver_e2e");
-  constexpr std::uint64_t kCfgHash = 0x9e3779b97f4a7c15ull;
 
   // Reference run, no resilience wiring.
-  const ParallelMeshResult ref = parallel_generate_mesh(fx.cfg, 4);
+  const ParallelMeshResult ref = parallel_generate_mesh(driver_cfg());
   ASSERT_EQ(ref.status, RunStatus::kOk);
 
   // Checkpointed run: both passes stream leaves into one journal.
-  ResilienceOptions wr;
-  wr.checkpoint_path = tj.path;
-  wr.config_hash = kCfgHash;
   const ParallelMeshResult ck =
-      parallel_generate_mesh(fx.cfg, 4, {}, nullptr, {}, wr);
+      parallel_generate_mesh(driver_cfg().set_checkpoint_path(tj.path));
   ASSERT_EQ(ck.status, RunStatus::kOk);
   EXPECT_GT(ck.resilience.checkpointed_units, 0u);
   EXPECT_EQ(ck.resilience.checkpoint_failures, 0u);
@@ -583,11 +585,8 @@ TEST(DriverResilience, CheckpointResumeEndToEnd) {
   EXPECT_EQ(canonical_triangles(ck.mesh), canonical_triangles(ref.mesh));
 
   // Resumed run: replays every leaf of both passes, bit-identical mesh.
-  ResilienceOptions rd;
-  rd.resume_path = tj.path;
-  rd.config_hash = kCfgHash;
   const ParallelMeshResult rs =
-      parallel_generate_mesh(fx.cfg, 4, {}, nullptr, {}, rd);
+      parallel_generate_mesh(driver_cfg().set_resume_path(tj.path));
   ASSERT_EQ(rs.status, RunStatus::kOk);
   EXPECT_TRUE(rs.resilience.resume_attempted);
   EXPECT_FALSE(rs.resilience.resume_rejected);
@@ -596,15 +595,13 @@ TEST(DriverResilience, CheckpointResumeEndToEnd) {
 }
 
 TEST(DriverResilience, RejectedJournalRemeshesFromScratch) {
-  const CheckpointFixture& fx = fixture();
   TempJournal tj("driver_reject");
-  write_records(tj.path, 2);  // written under kHash, resumed under another
+  // Written under kHash, which is not the job's mesh_config_hash.
+  ASSERT_NE(mesh_config_hash(driver_cfg()), kHash);
+  write_records(tj.path, 2);
 
-  ResilienceOptions rd;
-  rd.resume_path = tj.path;
-  rd.config_hash = kHash ^ 0xdeadbeefull;
   const ParallelMeshResult r =
-      parallel_generate_mesh(fx.cfg, 4, {}, nullptr, {}, rd);
+      parallel_generate_mesh(driver_cfg().set_resume_path(tj.path));
   EXPECT_EQ(r.status, RunStatus::kOk);
   EXPECT_TRUE(r.resilience.resume_attempted);
   EXPECT_TRUE(r.resilience.resume_rejected);
@@ -616,16 +613,15 @@ TEST(DriverResilience, RejectedJournalRemeshesFromScratch) {
 TEST(DriverResilience, VersionTwoJournalRemeshesFromScratch) {
   // A journal written by the soup-era format (version 2, with one intact
   // record) is rejected at its header, and the run re-meshes everything.
-  const CheckpointFixture& fx = fixture();
   TempJournal tj("driver_v2");
-  constexpr std::uint64_t kCfgHash = 0x2545f4914f6cdd1dull;
+  const std::uint64_t cfg_hash = mesh_config_hash(driver_cfg());
   std::vector<std::uint8_t> bytes = {'A', 'E', 'R', 'O', 'J', 'N', 'L', '1'};
   const auto put = [&bytes](auto v) {
     const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
     bytes.insert(bytes.end(), p, p + sizeof(v));
   };
   put(std::uint32_t{2});
-  put(kCfgHash);
+  put(cfg_hash);
   put(crc32(bytes.data(), bytes.size()));
   const std::size_t record = bytes.size();
   put(std::uint32_t{8});
@@ -634,17 +630,14 @@ TEST(DriverResilience, VersionTwoJournalRemeshesFromScratch) {
   put(crc32(bytes.data() + record + 4, bytes.size() - record - 4));
   dump(tj.path, bytes);
 
-  const JournalContents loaded = read_journal(tj.path, kCfgHash);
+  const JournalContents loaded = read_journal(tj.path, cfg_hash);
   EXPECT_FALSE(loaded.header_ok);
   EXPECT_EQ(loaded.version, 2u);
   EXPECT_TRUE(loaded.records.empty());
   EXPECT_EQ(loaded.discarded_bytes, bytes.size());
 
-  ResilienceOptions rd;
-  rd.resume_path = tj.path;
-  rd.config_hash = kCfgHash;
   const ParallelMeshResult r =
-      parallel_generate_mesh(fx.cfg, 4, {}, nullptr, {}, rd);
+      parallel_generate_mesh(driver_cfg().set_resume_path(tj.path));
   EXPECT_EQ(r.status, RunStatus::kOk);
   EXPECT_TRUE(r.resilience.resume_attempted);
   EXPECT_TRUE(r.resilience.resume_rejected);
@@ -655,33 +648,57 @@ TEST(DriverResilience, VersionTwoJournalRemeshesFromScratch) {
 }
 
 TEST(DriverResilience, WallBudgetStopsWithAValidPartialMesh) {
-  const CheckpointFixture& fx = fixture();
   TempJournal tj("driver_budget");
-  constexpr std::uint64_t kCfgHash = 0x517cc1b727220a95ull;
 
-  ResilienceOptions st;
-  st.checkpoint_path = tj.path;
-  st.config_hash = kCfgHash;
-  st.budget.wall_ms = 1;
-  const ParallelMeshResult stopped =
-      parallel_generate_mesh(fx.cfg, 4, {}, nullptr, {}, st);
+  const ParallelMeshResult stopped = parallel_generate_mesh(
+      driver_cfg().set_checkpoint_path(tj.path).set_budget_wall_ms(1));
   EXPECT_EQ(stopped.status, RunStatus::kStopped);
   EXPECT_EQ(stopped.resilience.stop_cause, StopCause::kWallBudget);
   EXPECT_LT(stopped.resilience.units_done, stopped.resilience.units_total);
 
   // Resuming the stopped run's journal (checkpoint and resume pointed at
   // the same file exercises the append-in-place path) completes the mesh.
-  ResilienceOptions go;
-  go.checkpoint_path = tj.path;
-  go.resume_path = tj.path;
-  go.config_hash = kCfgHash;
-  const ParallelMeshResult done =
-      parallel_generate_mesh(fx.cfg, 4, {}, nullptr, {}, go);
+  const ParallelMeshResult done = parallel_generate_mesh(
+      driver_cfg().set_checkpoint_path(tj.path).set_resume_path(tj.path));
   ASSERT_EQ(done.status, RunStatus::kOk);
   EXPECT_EQ(done.resilience.units_done, done.resilience.units_total);
 
-  const ParallelMeshResult ref = parallel_generate_mesh(fx.cfg, 4);
+  const ParallelMeshResult ref = parallel_generate_mesh(driver_cfg());
   EXPECT_EQ(canonical_triangles(done.mesh), canonical_triangles(ref.mesh));
+}
+
+TEST(DriverResilience, ResumeOnlyRunAppendsInPlace) {
+  TempJournal tj("driver_resume_only");
+
+  // 1. A budget-stopped run leaves a journal of the leaves it finished.
+  const ParallelMeshResult stopped = parallel_generate_mesh(
+      driver_cfg().set_checkpoint_path(tj.path).set_budget_wall_ms(1));
+  ASSERT_EQ(stopped.status, RunStatus::kStopped);
+
+  // 2. Resume-only: no checkpoint path, so the run appends the leaves it
+  //    meshes to the journal it resumed from.
+  const ParallelMeshResult finished =
+      parallel_generate_mesh(driver_cfg().set_resume_path(tj.path));
+  ASSERT_EQ(finished.status, RunStatus::kOk);
+  EXPECT_FALSE(finished.resilience.resume_rejected);
+  EXPECT_GT(finished.resilience.checkpointed_units, 0u);
+  EXPECT_EQ(finished.resilience.checkpoint_failures, 0u);
+
+  // 3. The journal now holds every leaf: a second resume-only run replays
+  //    them all and appends nothing, since every key is already on disk.
+  const ParallelMeshResult replayed =
+      parallel_generate_mesh(driver_cfg().set_resume_path(tj.path));
+  ASSERT_EQ(replayed.status, RunStatus::kOk);
+  EXPECT_EQ(replayed.resilience.resume_records,
+            stopped.resilience.checkpointed_units +
+                finished.resilience.checkpointed_units);
+  EXPECT_EQ(replayed.resilience.resumed_units,
+            replayed.resilience.resume_records);
+  EXPECT_EQ(replayed.resilience.checkpointed_units, 0u);
+
+  const ParallelMeshResult fresh = parallel_generate_mesh(driver_cfg());
+  EXPECT_EQ(canonical_triangles(replayed.mesh),
+            canonical_triangles(fresh.mesh));
 }
 
 // ---------------------------------------------------------------------------

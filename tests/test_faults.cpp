@@ -325,12 +325,12 @@ struct ChaosFixture {
     opts.nranks = 4;
     opts.steal_threshold = 1.0;  // every idle rank asks for work
     opts.update_period = std::chrono::microseconds(50);
-    opts.inviscid_target_triangles = cfg.inviscid_target_triangles;
+    opts.rules = tree_rules(cfg);
     // Generous liveness bounds: this box oversubscribes all nine pool
     // threads onto very few cores, so a healthy communicator can be
     // scheduled away for tens of milliseconds at a time.
-    opts.tuning.heartbeat_timeout = std::chrono::milliseconds(1000);
-    opts.tuning.watchdog_timeout = std::chrono::seconds(120);
+    opts.heartbeat_timeout = std::chrono::milliseconds(1000);
+    opts.watchdog_timeout = std::chrono::seconds(120);
   }
 };
 

@@ -50,8 +50,8 @@ TEST_F(IoTest, VtkWithScalars) {
   std::string content((std::istreambuf_iterator<char>(f)),
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("SCALARS pressure double 1"), std::string::npos);
-  EXPECT_THROW(write_vtk(m, path("bad.vtk"),
-                         new std::vector<double>{1.0}, "x"),
+  const std::vector<double> short_field{1.0};
+  EXPECT_THROW(write_vtk(m, path("bad.vtk"), &short_field, "x"),
                std::invalid_argument);
 }
 

@@ -1,26 +1,16 @@
 // MeshView read facade over the SoA mesh core: the versioned "AMSH" blob
 // (golden bytes, round-trip, typed rejection), chunk-boundary growth of the
-// backing arenas, the 32-bit capacity ceiling, and the out-of-core spill
-// merge's identity with the in-RAM merge under a bounded resident budget,
-// alone and with concurrent runs sharing one spill directory.
+// backing arenas, and the 32-bit capacity ceiling.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "airfoil/geometry.hpp"
 #include "core/merged_mesh.hpp"
 #include "core/mesh_view.hpp"
 #include "delaunay/chunked.hpp"  // aerolint: allow(public-api) // aerolint: allow(mesh-internal-access)
-#include "runtime/parallel_driver.hpp"
 
 namespace aero {
 namespace {
@@ -178,135 +168,6 @@ TEST(MergedMesh, CapacityCeilingThrowsMeshTooLarge) {
   // The mesh already assembled stays intact after the rejection.
   EXPECT_EQ(m.point_count(), 3u);
   EXPECT_EQ(m.triangle_count(), 2u);
-}
-
-/// Canonical multiset of live triangles: vertex-rotated so the
-/// lexicographically smallest coordinate leads (orientation preserved),
-/// then sorted. Two meshes with equal signatures contain exactly the same
-/// triangles regardless of merge order.
-std::vector<std::array<double, 6>> triangle_signature(const MergedMesh& m) {
-  std::vector<std::array<double, 6>> sig;
-  sig.reserve(m.triangle_count());
-  m.for_each_triangle([&](Vec2 a, Vec2 b, Vec2 c) {
-    std::array<std::array<double, 2>, 3> v = {{{a.x, a.y}, {b.x, b.y}, {c.x, c.y}}};
-    int lead = 0;
-    for (int i = 1; i < 3; ++i) {
-      if (v[static_cast<std::size_t>(i)] < v[static_cast<std::size_t>(lead)]) lead = i;
-    }
-    std::array<double, 6> row;
-    for (int i = 0; i < 3; ++i) {
-      const auto& p = v[static_cast<std::size_t>((lead + i) % 3)];
-      row[static_cast<std::size_t>(2 * i)] = p[0];
-      row[static_cast<std::size_t>(2 * i + 1)] = p[1];
-    }
-    sig.push_back(row);
-  });
-  std::sort(sig.begin(), sig.end());
-  return sig;
-}
-
-Options spill_case() {
-  Options cfg;
-  cfg.airfoil = make_naca0012(120);
-  cfg.growth_kind = GrowthKind::kGeometric;
-  cfg.first_height = 8e-4;
-  cfg.growth_ratio = 1.3;
-  cfg.max_layers = 25;
-  cfg.farfield_chords = 6.0;
-  cfg.inviscid_target_triangles = 8000.0;
-  cfg.bl_min_points = 600;
-  cfg.bl_max_level = 8;
-  cfg.ranks = 4;
-  cfg.threads_per_rank = 1;
-  return cfg;
-}
-
-TEST(SpillMerge, BitIdenticalToInRamMergeAtFourRanks) {
-  const Options in_ram = spill_case();
-  Options spilled = spill_case();
-  spilled.merge_spill_dir = testing::TempDir();
-  spilled.merge_resident_mb = 1;  // force many windows
-
-  const ParallelMeshResult a = parallel_generate_mesh(in_ram);
-  const ParallelMeshResult b = parallel_generate_mesh(spilled);
-  ASSERT_EQ(a.status, RunStatus::kOk);
-  ASSERT_EQ(b.status, RunStatus::kOk);
-
-  // The out-of-core path spilled instead of holding results resident...
-  EXPECT_EQ(a.bl_pool.spill_records + a.inviscid_pool.spill_records, 0u);
-  EXPECT_GT(b.bl_pool.spill_records + b.inviscid_pool.spill_records, 0u);
-  EXPECT_EQ(b.bl_pool.spill_write_failures + b.inviscid_pool.spill_write_failures,
-            0u);
-
-  // ...and produced exactly the same mesh: same welded points, same
-  // triangle multiset, same conformity.
-  EXPECT_EQ(b.mesh.point_count(), a.mesh.point_count());
-  EXPECT_EQ(b.mesh.triangle_count(), a.mesh.triangle_count());
-  EXPECT_EQ(triangle_signature(b.mesh), triangle_signature(a.mesh));
-  const auto conf = b.mesh.check_conformity();
-  EXPECT_TRUE(conf.manifold);
-  EXPECT_TRUE(conf.orientation_ok);
-}
-
-TEST(SpillMerge, ConcurrentRunsShareOneDirectory) {
-  // Every pool pass claims its own spill journal, so two runs spilling into
-  // one directory at the same time neither truncate nor delete each other's
-  // files, and each still merges exactly the in-RAM mesh.
-  std::string dir = testing::TempDir() + "aeromesh_spill_XXXXXX";
-  ASSERT_NE(mkdtemp(dir.data()), nullptr);
-
-  const ParallelMeshResult in_ram = parallel_generate_mesh(spill_case());
-  ASSERT_EQ(in_ram.status, RunStatus::kOk);
-  const auto reference = triangle_signature(in_ram.mesh);
-
-  Options spilled = spill_case();
-  spilled.merge_spill_dir = dir;
-  spilled.merge_resident_mb = 1;
-  ParallelMeshResult a, b;
-  std::thread other([&] { b = parallel_generate_mesh(spilled); });
-  a = parallel_generate_mesh(spilled);
-  other.join();
-
-  for (const ParallelMeshResult* r : {&a, &b}) {
-    ASSERT_EQ(r->status, RunStatus::kOk);
-    EXPECT_GT(r->bl_pool.spill_records + r->inviscid_pool.spill_records, 0u);
-    EXPECT_EQ(r->bl_pool.spill_write_failures +
-                  r->inviscid_pool.spill_write_failures,
-              0u);
-    EXPECT_EQ(triangle_signature(r->mesh), reference);
-  }
-  // Each pass deleted its own journal after the merge.
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SpillMerge, ResidentBudgetBoundsTheMergeWindows) {
-  Options cfg = spill_case();
-  cfg.airfoil = make_naca0012(300);  // spill well past the 1 MiB budget
-  cfg.merge_spill_dir = testing::TempDir();
-  cfg.merge_resident_mb = 1;
-
-  const ParallelMeshResult r = parallel_generate_mesh(cfg);
-  ASSERT_EQ(r.status, RunStatus::kOk);
-
-  const std::size_t budget = std::size_t{1} << 20;
-  const std::size_t spilled_bytes =
-      r.bl_pool.spill_bytes + r.inviscid_pool.spill_bytes;
-  ASSERT_GT(spilled_bytes, budget)
-      << "scenario too small to exercise the out-of-core path";
-
-  // The merge ran windowed (more than one window somewhere) and never held
-  // more than the budget resident -- except that a single record larger
-  // than the whole budget still merges as its own window (records are
-  // never split), so the bound is max(budget, largest record).
-  EXPECT_GT(r.bl_pool.merge_windows + r.inviscid_pool.merge_windows, 2u);
-  EXPECT_LE(r.bl_pool.merge_resident_peak_bytes,
-            std::max(budget, r.bl_pool.spill_max_record_bytes));
-  EXPECT_LE(r.inviscid_pool.merge_resident_peak_bytes,
-            std::max(budget, r.inviscid_pool.spill_max_record_bytes));
-  EXPECT_GT(r.bl_pool.merge_resident_peak_bytes +
-                r.inviscid_pool.merge_resident_peak_bytes,
-            0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -132,6 +133,29 @@ TEST_F(PipelineTest, SequentialMeshBytesArePinned) {
   EXPECT_EQ(crc32(blob.data(), blob.size()), 0xc0363433u);
   EXPECT_EQ(r.mesh.point_count(), 9547u);
   EXPECT_EQ(r.mesh.triangle_count(), 18798u);
+}
+
+TEST(OptionsValidate, NonFiniteSurfaceCoordinateIsAGeometryError) {
+  // NaN escapes the kernel untyped and an infinity never lets the mesher
+  // finish, so validate() must stop both before any stage runs.
+  const Options clean = Options().geometry(make_naca0012(60));
+  for (const OptionIssue& i : clean.validate()) {
+    EXPECT_NE(i.field, "geometry") << i.message;
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const bool in_y : {false, true}) {
+      Options cfg = clean;
+      Vec2& p = cfg.airfoil.elements[0].surface[17];
+      (in_y ? p.y : p.x) = bad;
+      std::size_t geometry_errors = 0;
+      for (const OptionIssue& i : cfg.validate()) {
+        if (i.is_error() && i.field == "geometry") ++geometry_errors;
+      }
+      EXPECT_EQ(geometry_errors, 1u) << bad << (in_y ? " in y" : " in x");
+    }
+  }
 }
 
 TEST(SubdomainTree, ExpandHonorsForcedCutAxis) {

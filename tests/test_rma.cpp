@@ -355,9 +355,9 @@ struct PoolFixture {
     opts.nranks = 4;
     opts.steal_threshold = 1.0;
     opts.update_period = std::chrono::microseconds(50);
-    opts.inviscid_target_triangles = cfg.inviscid_target_triangles;
-    opts.tuning.heartbeat_timeout = std::chrono::milliseconds(1000);
-    opts.tuning.watchdog_timeout = std::chrono::seconds(120);
+    opts.rules = tree_rules(cfg);
+    opts.heartbeat_timeout = std::chrono::milliseconds(1000);
+    opts.watchdog_timeout = std::chrono::seconds(120);
   }
 };
 

@@ -1,6 +1,6 @@
 // In-process message-passing runtime: communicator, RMA window, work-unit
 // serialization, and the work-stealing pool's equivalence to the sequential
-// pipeline.
+// pipeline, alone and with two pools running at once.
 
 #include <gtest/gtest.h>
 
@@ -145,10 +145,8 @@ std::vector<std::array<double, 6>> canonical_triangles(const MergedMesh& m) {
   return out;
 }
 
-class PoolEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(PoolEquivalence, ParallelMatchesSequential) {
-  const int nranks = GetParam();
+/// A small NACA 0012 job whose pool passes split into several units.
+Options pool_case(int ranks) {
   Options cfg;
   cfg.airfoil = make_naca0012(120);
   cfg.growth_kind = GrowthKind::kGeometric;
@@ -159,9 +157,17 @@ TEST_P(PoolEquivalence, ParallelMatchesSequential) {
   cfg.inviscid_target_triangles = 8000.0;
   cfg.bl_min_points = 600;
   cfg.bl_max_level = 8;
+  cfg.ranks = ranks;
+  return cfg;
+}
+
+class PoolEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(PoolEquivalence, ParallelMatchesSequential) {
+  const Options cfg = pool_case(GetParam());
 
   const MeshGenerationResult seq = generate_mesh(cfg);
-  const ParallelMeshResult par = parallel_generate_mesh(cfg, nranks);
+  const ParallelMeshResult par = parallel_generate_mesh(cfg);
 
   // The mesh is deterministic: identical triangle counts and identical
   // welded point counts regardless of rank count and steal interleaving.
@@ -175,6 +181,26 @@ TEST_P(PoolEquivalence, ParallelMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, PoolEquivalence, ::testing::Values(1, 2, 4),
                          ::testing::PrintToStringParamName());
+
+TEST(PoolConcurrency, ConcurrentRunsMatchASoloRun) {
+  // Two 4-rank runs at once in one process: each pool owns its
+  // communicator, windows and buffers, so each still gives exactly the
+  // mesh of a run alone.
+  const Options cfg = pool_case(4);
+  const ParallelMeshResult solo = parallel_generate_mesh(cfg);
+  ASSERT_EQ(solo.status, RunStatus::kOk);
+  const auto reference = canonical_triangles(solo.mesh);
+
+  ParallelMeshResult a, b;
+  std::thread other([&] { b = parallel_generate_mesh(cfg); });
+  a = parallel_generate_mesh(cfg);
+  other.join();
+
+  for (const ParallelMeshResult* r : {&a, &b}) {
+    ASSERT_EQ(r->status, RunStatus::kOk);
+    EXPECT_EQ(canonical_triangles(r->mesh), reference);
+  }
+}
 
 TEST(Pool, WorkIsActuallyDistributed) {
   // Drive the steal path deterministically: every idle rank requests work
@@ -201,7 +227,7 @@ TEST(Pool, WorkIsActuallyDistributed) {
   opts.nranks = 4;
   opts.steal_threshold = 1.0;
   opts.update_period = std::chrono::microseconds(50);
-  opts.inviscid_target_triangles = cfg.inviscid_target_triangles;
+  opts.rules = tree_rules(cfg);
 
   std::vector<WorkUnit> initial;
   for (InviscidSubdomain& quad : initial_quadrants(domain)) {

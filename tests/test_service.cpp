@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -59,8 +60,6 @@ TEST(ServiceCacheKey, NonMeshKnobsDoNotChangeKey) {
       base_options().set_budget_rss_mb(512),
       base_options().set_checkpoint_path("ckpt.aerojnl"),
       base_options().set_resume_path("resume.aerojnl"),
-      base_options().set_merge_spill_dir("/tmp/spill"),
-      base_options().set_merge_resident_mb(1),
       base_options().set_stop_flag(&stop),
       base_options().set_fault_rate(0.05),
       base_options().set_fault_seed(42),
@@ -171,7 +170,6 @@ TEST(ServiceWire, RequestScrubsServerSideFields) {
   std::atomic<bool> stop{false};
   req.options.set_checkpoint_path("evil.aerojnl")
       .set_resume_path("evil2.aerojnl")
-      .set_merge_spill_dir("/evil/spill")
       .set_stop_flag(&stop)
       .set_budget_wall_ms(1)
       .set_trace(true)
@@ -180,7 +178,6 @@ TEST(ServiceWire, RequestScrubsServerSideFields) {
   ASSERT_TRUE(decode_request(encode_request(req), &out));
   EXPECT_TRUE(out.options.checkpoint_path.empty());
   EXPECT_TRUE(out.options.resume_path.empty());
-  EXPECT_TRUE(out.options.merge_spill_dir.empty());
   EXPECT_EQ(out.options.stop_flag, nullptr);
   EXPECT_EQ(out.options.budget_wall_ms, 0);
   EXPECT_FALSE(out.options.trace);
@@ -406,14 +403,21 @@ TEST(MeshServer, ThreadsPerRankIsServerOwnedAndNotMeshDefining) {
 }
 
 TEST(MeshServer, InvalidOptionsRejectedWithoutQueueing) {
-  MeshServer server(ServerConfig{});
-  MeshRequest req = request_of(9, 0, 50);
-  req.options.set_first_height(-1.0);
-  const MeshResponse resp = server.submit_wait(std::move(req));
-  EXPECT_EQ(resp.status, ServiceStatus::kInvalidOptions);
-  EXPECT_FALSE(resp.error.empty());
-  EXPECT_EQ(server.stats().invalid, 1u);
-  EXPECT_EQ(server.stats().completed, 0u);  // never reached a worker
+  MeshRequest bad_height = request_of(9, 0, 50);
+  bad_height.options.set_first_height(-1.0);
+  // A NaN coordinate is a typed admission rejection too, never a
+  // worker-side kernel exception.
+  MeshRequest nan_point = request_of(10, 0, 60);
+  nan_point.options.airfoil.elements[0].surface[5].y =
+      std::numeric_limits<double>::quiet_NaN();
+  for (MeshRequest req : {bad_height, nan_point}) {
+    MeshServer server(ServerConfig{});
+    const MeshResponse resp = server.submit_wait(std::move(req));
+    EXPECT_EQ(resp.status, ServiceStatus::kInvalidOptions);
+    EXPECT_FALSE(resp.error.empty());
+    EXPECT_EQ(server.stats().invalid, 1u);
+    EXPECT_EQ(server.stats().completed, 0u);  // never reached a worker
+  }
 }
 
 /// Holds the single worker inside before_mesh until released, making queue
