@@ -14,12 +14,10 @@
 
 #include "core/mesh_generator.hpp"
 #include "core/timer.hpp"
-#include "obs/bench_report.hpp"
 #include "obs/trace.hpp"
 
 int main() {
   using namespace aero;
-  Timer bench_wall;
   obs::TraceRecorder& rec = obs::TraceRecorder::global();
 
   // --- Per-event micro cost ------------------------------------------------
@@ -103,21 +101,5 @@ int main() {
               "overhead %+.2f%%   [budget: < 2%%]\n",
               kReps, off, on, overhead_pct);
 
-  obs::BenchReport report;
-  report.bench = "bench_obs";
-  report.case_name = "three-element-400";
-  report.ranks = 1;
-  report.wall_ms = 1000.0 * bench_wall.seconds();
-  report.counters = {
-      {"span_ns", span_ns},
-      {"instant_ns", instant_ns},
-      {"disabled_site_ns", disabled_ns},
-      {"pipeline_untraced_s", off},
-      {"pipeline_traced_s", on},
-      {"overhead_pct", overhead_pct},
-  };
-  if (write_bench_json(report, "BENCH_obs.json")) {
-    std::printf("wrote BENCH_obs.json\n");
-  }
   return overhead_pct < 2.0 ? 0 : 1;
 }

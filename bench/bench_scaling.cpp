@@ -26,13 +26,11 @@
 #include <string_view>
 
 #include "core/timer.hpp"
-#include "obs/bench_report.hpp"
 #include "runtime/cluster_model.hpp"
 #include "runtime/parallel_driver.hpp"
 
 int main(int argc, char** argv) {
   using namespace aero;
-  Timer bench_wall;
 
   // --big roughly quadruples the measured mesh (slower, sharper curves).
   const bool big = argc > 1 && std::string_view(argv[1]) == "--big";
@@ -98,11 +96,9 @@ int main(int argc, char** argv) {
                   r.steals, paper);
     }
     std::printf("\n");
-    return sweep;
   };
 
-  const auto measured =
-      print_sweep(graph, "Figure 11/12 (as measured, laptop-scale mesh):");
+  print_sweep(graph, "Figure 11/12 (as measured, laptop-scale mesh):");
 
   // Paper-scale extrapolation: the paper's fixed mesh divided by ours.
   // Task costs scale with the triangles they produce; payloads scale with
@@ -122,8 +118,7 @@ int main(int argc, char** argv) {
   for (double& s : scaled.distributable_before) s *= scale;
   std::printf("paper-scale factor: x%.0f (measured ~%.0f estimated "
               "triangles -> 172.77M)\n\n", scale, measured_triangles);
-  const auto paper_scale =
-      print_sweep(scaled, "Figure 11/12 (paper scale, 172.77M triangles):");
+  print_sweep(scaled, "Figure 11/12 (paper scale, 172.77M triangles):");
 
   // Window transport: the real in-process pool at 8 ranks. Every payload
   // moves by window handoff, so the mailboxes carry only control frames;
@@ -187,8 +182,8 @@ int main(int argc, char** argv) {
 
   // Checkpoint overhead A/B: the identical 8-rank run with the journal sink
   // streaming every finalized leaf to disk. The sink frames each leaf's raw
-  // triangle array with a chained CRC and appends+flushes, so the wall cost
-  // must stay marginal next to the meshing itself.
+  // triangle array with a chained CRC and appends+flushes. The overhead is
+  // printed, not gated: on a run this short, host noise swamps a few percent.
   std::printf("Checkpoint overhead A/B (real pool, 8 ranks):\n");
   const char* journal_path = "bench_scaling_ckpt.aerojnl";
   std::remove(journal_path);
@@ -227,58 +222,10 @@ int main(int argc, char** argv) {
   std::printf("  ckpt=on  wall %.0f ms  triangles %zu  records %zu"
               "  journal %.0f B\n",
               wall_ckpt_ms, ckpt_triangles, ckpt_records, journal_bytes);
-  std::printf("  checkpoint overhead: %.1f%% (acceptance bar: < 3%%,"
-              " wall noise permitting)  meshes %s\n\n",
+  std::printf("  checkpoint overhead: %.1f%%  meshes %s\n\n",
               overhead_pct,
               ckpt_triangles == with_rma.mesh.triangle_count()
                   ? "agree"
                   : "DISAGREE");
-
-  obs::BenchReport report;
-  report.bench = "bench_scaling";
-  report.case_name = big ? "three-element-600" : "three-element-400";
-  report.ranks = 256;
-  report.wall_ms = 1000.0 * bench_wall.seconds();
-  report.counters.emplace_back("tasks", static_cast<double>(graph.nodes.size()));
-  report.counters.emplace_back("total_work_s", graph.total_seconds());
-  report.counters.emplace_back("measured_triangles", measured_triangles);
-  for (const SimResult& r : measured) {
-    if (r.ranks == 128 || r.ranks == 256) {
-      report.counters.emplace_back(
-          "speedup_measured_" + std::to_string(r.ranks), r.speedup);
-    }
-  }
-  for (const SimResult& r : paper_scale) {
-    if (r.ranks == 128 || r.ranks == 256) {
-      report.counters.emplace_back(
-          "speedup_paper_scale_" + std::to_string(r.ranks), r.speedup);
-    }
-  }
-  report.counters.emplace_back("rma_comm_bytes", rma_bytes);
-  report.counters.emplace_back("rma_zero_copy_hits",
-                               static_cast<double>(zero_copy_hits));
-  report.counters.emplace_back("wall_rma_ms", wall_rma_ms);
-  report.counters.emplace_back(
-      "ab_triangles_rma",
-      static_cast<double>(with_rma.mesh.triangle_count()));
-  for (const GridCell& cell : grid) {
-    report.counters.emplace_back("grid_r" + std::to_string(cell.ranks) + "_t" +
-                                     std::to_string(cell.threads) + "_s",
-                                 cell.seconds);
-  }
-  report.counters.emplace_back("grid_triangles_agree",
-                               grid_agrees ? 1.0 : 0.0);
-  report.counters.emplace_back("wall_ckpt_ms", wall_ckpt_ms);
-  report.counters.emplace_back("checkpoint_overhead_pct", overhead_pct);
-  report.counters.emplace_back(
-      "checkpoint_records",
-      static_cast<double>(ckpt_records));
-  report.counters.emplace_back("checkpoint_journal_bytes", journal_bytes);
-  report.counters.emplace_back(
-      "ab_triangles_ckpt",
-      static_cast<double>(ckpt_triangles));
-  if (write_bench_json(report, "BENCH_scaling.json")) {
-    std::printf("wrote BENCH_scaling.json\n");
-  }
   return 0;
 }

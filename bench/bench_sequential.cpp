@@ -20,7 +20,6 @@
 
 int main() {
   using namespace aero;
-  Timer bench_wall;
 
   Options config;
   config.airfoil = make_three_element(400);
@@ -133,32 +132,11 @@ int main() {
               "[paper: ~98%% (192 s vs 196 s)]\n",
               100.0 * t_reference / t_pipeline);
 
-  // Storage-compactness counter: process peak RSS amortized over the final
-  // mesh. The SoA mesh core's whole point is lowering this; the tolerances
-  // sidecar gates it so a storage regression fails bench_compare.
+  // Storage-compactness figure: process peak RSS amortized over the final
+  // mesh, the number the SoA mesh core exists to lower.
   const double rss_per_tri =
       1024.0 * static_cast<double>(pipeline_rss_kb) /
       static_cast<double>(full.mesh.triangle_count());
   std::printf("peak RSS per final triangle: %.1f B/tri\n", rss_per_tri);
-
-  obs::BenchReport report;
-  report.bench = "bench_sequential";
-  report.case_name = "three-element-400";
-  report.ranks = 1;
-  report.wall_ms = 1000.0 * bench_wall.seconds();
-  report.counters = {
-      {"cloud_points", static_cast<double>(bl.points.size())},
-      {"bl_direct_s", t_direct},
-      {"bl_decomposed_s", t_decomposed},
-      {"reference_s", t_reference},
-      {"pipeline_s", t_pipeline},
-      {"pipeline_triangles",
-       static_cast<double>(full.mesh.triangle_count())},
-      {"sequential_efficiency_pct", 100.0 * t_reference / t_pipeline},
-      {"peak_rss_per_triangle_b", rss_per_tri},
-  };
-  if (write_bench_json(report, "BENCH_sequential.json")) {
-    std::printf("wrote BENCH_sequential.json\n");
-  }
   return 0;
 }

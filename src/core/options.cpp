@@ -51,6 +51,17 @@ const char* growth_name(GrowthKind k) {
   return "geometric";
 }
 
+/// Twice the signed area of a closed loop, positive when counter-clockwise.
+/// Summed as a fan about the first point, so a body far from the origin
+/// loses nothing to cancellation.
+double twice_signed_area(const std::vector<Vec2>& loop) {
+  double a2 = 0.0;
+  for (std::size_t i = 1; i + 1 < loop.size(); ++i) {
+    a2 += (loop[i] - loop[0]).cross(loop[i + 1] - loop[0]);
+  }
+  return a2;
+}
+
 void err(std::vector<OptionIssue>& out, const char* field, std::string msg) {
   out.push_back({OptionIssue::Severity::kError, field, std::move(msg)});
 }
@@ -78,6 +89,7 @@ std::vector<OptionIssue> Options::validate() const {
   if (airfoil.elements.empty()) {
     err(issues, "geometry", "no input surfaces (set Options::airfoil)");
   }
+  bool all_finite = true;
   for (std::size_t e = 0; e < airfoil.elements.size(); ++e) {
     const std::vector<Vec2>& surface = airfoil.elements[e].surface;
     if (surface.size() < 3) {
@@ -90,11 +102,34 @@ std::vector<OptionIssue> Options::validate() const {
       return !std::isfinite(p.x) || !std::isfinite(p.y);
     });
     if (bad != surface.end()) {
+      all_finite = false;
       err(issues, "geometry",
           "element " + std::to_string(e) + " point " +
               std::to_string(bad - surface.begin()) +
               " has a non-finite coordinate");
+    } else if (surface.size() >= 3 && !(twice_signed_area(surface) > 0.0)) {
+      // The mesher meshes a clockwise loop inside out and a flat one as
+      // nothing, and reports kOk for both. Reject, never reorder: the CLI's
+      // --poly loader reverses clockwise loops before it validates.
+      err(issues, "geometry",
+          "element " + std::to_string(e) +
+              " is clockwise or has zero area (surfaces are closed "
+              "counter-clockwise loops)");
     }
+  }
+  // make_inviscid_domain centres a far-field square of half-extent
+  // farfield_chords x chord on the boundary layer. A body as wide or as tall
+  // as that square cannot be meshed, and the mesher does not stop on one by
+  // itself. Non-finite coordinates are reported above.
+  const BBox2 body = airfoil.bbox();
+  const double farfield_side = 2.0 * farfield_chords * airfoil.chord;
+  if (all_finite && !body.empty() &&
+      (body.width() >= farfield_side || body.height() >= farfield_side)) {
+    err(issues, "geometry",
+        "surfaces span " + fmt_double(body.width()) + " x " +
+            fmt_double(body.height()) + ", which does not fit inside the " +
+            fmt_double(farfield_side) +
+            "-wide far field (2 x farfield_chords x chord)");
   }
   if (!(first_height > 0.0)) {
     err(issues, "first_height", "first cell height must be > 0");

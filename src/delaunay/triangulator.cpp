@@ -1,10 +1,10 @@
 #include "delaunay/triangulator.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
-#include "delaunay/brio.hpp"
 #include "obs/trace.hpp"
 
 namespace aero {
@@ -17,22 +17,13 @@ TriangulateResult triangulate(const Pslg& pslg,
   // Determine insertion order. Triangle sorts its input by x-coordinate on
   // invocation; when the caller guarantees sortedness we skip this, which is
   // exactly the optimization the paper applies after its decompositions.
-  // kBrio instead uses the randomized-round + Hilbert-curve order of
-  // delaunay/brio.hpp — better locate locality on large unsorted clouds.
-  const InsertionOrder order =
-      opts.assume_sorted ? InsertionOrder::kInput : opts.order;
-  std::vector<std::uint32_t> perm;
-  if (order == InsertionOrder::kBrio) {
-    perm = brio_order(pslg.points);
-  } else {
-    perm.resize(pslg.points.size());
-    std::iota(perm.begin(), perm.end(), 0u);
-    if (order == InsertionOrder::kXSorted) {
-      std::sort(perm.begin(), perm.end(),
-                [&pslg](std::uint32_t a, std::uint32_t b) {
-                  return LessXY{}(pslg.points[a], pslg.points[b]);
-                });
-    }
+  std::vector<std::uint32_t> perm(pslg.points.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  if (!opts.assume_sorted) {
+    std::sort(perm.begin(), perm.end(),
+              [&pslg](std::uint32_t a, std::uint32_t b) {
+                return LessXY{}(pslg.points[a], pslg.points[b]);
+              });
   }
   std::vector<Vec2> ordered(pslg.points.size());
   for (std::size_t i = 0; i < perm.size(); ++i) {
@@ -74,17 +65,6 @@ TriangulateResult triangulate_points(const std::vector<Vec2>& points,
   opts.constrained = false;
   opts.carve = false;
   opts.assume_sorted = assume_sorted;
-  return triangulate(pslg, opts);
-}
-
-TriangulateResult triangulate_points(const std::vector<Vec2>& points,
-                                     InsertionOrder order) {
-  Pslg pslg;
-  pslg.points = points;
-  TriangulateOptions opts;
-  opts.constrained = false;
-  opts.carve = false;
-  opts.order = order;
   return triangulate(pslg, opts);
 }
 

@@ -408,11 +408,6 @@ TriangulateResult refine_subdomain(const InviscidSubdomain& sub,
   // Shared borders are never split: the decoupling spacing guarantees they
   // never need to be, and splitting would break cross-process conformity.
   opts.refine_options.splittable = [](Vec2, Vec2) { return false; };
-  // Intra-rank threads go to the refiner's scan only, NOT to
-  // TriangulateOptions::threads: the border clouds here are far below the
-  // scatter engine's minimum anyway, and keeping the triangulation
-  // unconditionally sequential makes the thread-count invariance of the
-  // subdomain mesh structural rather than incidental.
   opts.refine_options.threads = std::max(1, threads);
   return triangulate(pslg, opts);
 }

@@ -1,9 +1,5 @@
 #include "obs/bench_report.hpp"
 
-#include <fstream>
-
-#include "obs/export.hpp"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -22,23 +18,6 @@ long peak_rss_kb() {
 #else
   return 0;
 #endif
-}
-
-bool write_bench_json(const BenchReport& report, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out.precision(9);
-  out << "{\"bench\":\"" << json_escape(report.bench) << "\",\"case\":\""
-      << json_escape(report.case_name) << "\",\"ranks\":" << report.ranks
-      << ",\"wall_ms\":" << report.wall_ms
-      << ",\"peak_rss_kb\":" << peak_rss_kb() << ",\"counters\":{";
-  for (std::size_t i = 0; i < report.counters.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\n\"" << json_escape(report.counters[i].first)
-        << "\":" << report.counters[i].second;
-  }
-  out << "\n}}\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace aero::obs

@@ -1,30 +1,10 @@
 #pragma once
 
-// Machine-readable benchmark baselines: every perf-trajectory bench writes a
-// BENCH_<name>.json next to its stdout report so future PRs can diff runs.
-// Schema (keep stable -- downstream tooling greps these):
-//   {"bench": ..., "case": ..., "ranks": N, "wall_ms": W,
-//    "peak_rss_kb": R, "counters": {name: number, ...}}
-
-#include <string>
-#include <utility>
-#include <vector>
+// Process memory as the benches and perfbench report it.
 
 namespace aero::obs {
 
-struct BenchReport {
-  std::string bench;      ///< benchmark binary name, e.g. "bench_scaling"
-  std::string case_name;  ///< input case, e.g. "three-element-400"
-  int ranks = 1;          ///< rank count the headline number refers to
-  double wall_ms = 0.0;   ///< wall-clock of the measured section
-  /// Free-form named results (speedups, triangle counts, overhead %, ...).
-  std::vector<std::pair<std::string, double>> counters;
-};
-
 /// Peak resident set size of this process in kB (0 where unsupported).
 long peak_rss_kb();
-
-/// Write the report as one JSON object; returns false on IO failure.
-bool write_bench_json(const BenchReport& report, const std::string& path);
 
 }  // namespace aero::obs

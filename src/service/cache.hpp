@@ -7,7 +7,8 @@
 // injection do not change the triangles, so a mesh computed under any of
 // them answers every equivalent future request. Meshing is deterministic,
 // which is what makes this safe: a hit returns bytes bit-identical to what
-// re-meshing would have produced (bench_service proves this every run).
+// re-meshing would have produced (MeshServer.CacheHitIsBitIdenticalToFreshMesh
+// pins this).
 
 #include <cstddef>
 #include <cstdint>

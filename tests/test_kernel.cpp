@@ -1,11 +1,10 @@
-// The fast-path Delaunay kernel: BRIO insertion order, the reusable cavity
-// arena, the semi-static predicate filters, locate-hint plumbing, and the
-// refiner's threaded initial scan.
+// The fast-path Delaunay kernel: the reusable cavity arena, the semi-static
+// predicate filters, locate-hint plumbing, and the refiner's threaded
+// initial scan.
 //
 // These are the paths the tentpole perf work added; each test pins the
-// property that makes the fast path safe to use (order-independence of the
-// mesh, arena reuse correctness, sign-exactness of the filters, hint
-// independence of locate).
+// property that makes the fast path safe to use (arena reuse correctness,
+// sign-exactness of the filters, hint independence of locate).
 
 #include <algorithm>
 #include <array>
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "delaunay/brio.hpp"          // aerolint: allow(public-api)
 #include "delaunay/mesh.hpp"          // aerolint: allow(public-api)
 #include "delaunay/triangulator.hpp"
 #include "geom/predicates.hpp"        // aerolint: allow(public-api)
@@ -69,97 +67,6 @@ std::string canonical_bytes(const DelaunayMesh& mesh) {
   std::string bytes(tris.size() * sizeof(tris[0]), '\0');
   if (!tris.empty()) std::memcpy(bytes.data(), tris.data(), bytes.size());
   return bytes;
-}
-
-// --- BRIO order ------------------------------------------------------------
-
-TEST(KernelBrio, OrderIsAPermutation) {
-  for (const std::size_t n : {0u, 1u, 7u, 100u, 5000u}) {
-    const std::vector<Vec2> pts = random_cloud(n, 42 + n);
-    const std::vector<std::uint32_t> order = brio_order(pts);
-    ASSERT_EQ(order.size(), n);
-    std::vector<std::uint8_t> seen(n, 0);
-    for (const std::uint32_t i : order) {
-      ASSERT_LT(i, n);
-      ASSERT_FALSE(seen[i]) << "index appears twice";
-      seen[i] = 1;
-    }
-  }
-}
-
-TEST(KernelBrio, DeterministicForSameInput) {
-  const std::vector<Vec2> pts = random_cloud(3000, 7);
-  EXPECT_EQ(brio_order(pts), brio_order(pts));
-}
-
-TEST(KernelBrio, HilbertCurveIsABijection) {
-  // Order-4 curve: every cell of the 16x16 grid gets a distinct distance.
-  std::vector<std::uint8_t> seen(256, 0);
-  for (std::uint32_t y = 0; y < 16; ++y) {
-    for (std::uint32_t x = 0; x < 16; ++x) {
-      const std::uint64_t d = hilbert_d(x, y, 4);
-      ASSERT_LT(d, 256u);
-      ASSERT_FALSE(seen[d]);
-      seen[d] = 1;
-    }
-  }
-  // Adjacent distances map to adjacent cells (the locality property that
-  // makes the within-round sort worth doing).
-  std::array<std::pair<std::uint32_t, std::uint32_t>, 256> cell_of;
-  for (std::uint32_t y = 0; y < 16; ++y) {
-    for (std::uint32_t x = 0; x < 16; ++x) {
-      cell_of[hilbert_d(x, y, 4)] = {x, y};
-    }
-  }
-  for (std::size_t d = 1; d < 256; ++d) {
-    const auto [x0, y0] = cell_of[d - 1];
-    const auto [x1, y1] = cell_of[d];
-    const int manhattan = std::abs(static_cast<int>(x1) - static_cast<int>(x0)) +
-                          std::abs(static_cast<int>(y1) - static_cast<int>(y0));
-    EXPECT_EQ(manhattan, 1) << "curve jumps at d=" << d;
-  }
-}
-
-TEST(KernelBrio, MatchesXSortedOnFuzzedClouds) {
-  // Same cloud, both insertion orders: identical triangle sets. Random
-  // doubles have no exactly-cocircular quadruples, so the Delaunay
-  // triangulation is unique and any divergence is a kernel bug.
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    for (const std::size_t n : {40u, 400u, 4000u}) {
-      std::vector<Vec2> pts = random_cloud(n, seed * 1000 + n);
-      // A few duplicates to exercise the merge path.
-      pts.push_back(pts[n / 2]);
-      pts.push_back(pts[0]);
-      const TriangulateResult a =
-          triangulate_points(pts, InsertionOrder::kXSorted);
-      const TriangulateResult b = triangulate_points(pts, InsertionOrder::kBrio);
-      ASSERT_TRUE(a.mesh.check_topology());
-      ASSERT_TRUE(b.mesh.check_topology());
-      ASSERT_TRUE(a.mesh.check_delaunay());
-      ASSERT_TRUE(b.mesh.check_delaunay());
-      EXPECT_EQ(canonical_triangles(a.mesh), canonical_triangles(b.mesh))
-          << "seed " << seed << " n " << n;
-    }
-  }
-}
-
-TEST(KernelBrio, MatchesXSortedOnClusteredCloud) {
-  // Highly non-uniform input (tight clusters + far outliers), the case BRIO
-  // exists for: locality order must still reproduce the x-sorted mesh.
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  std::normal_distribution<double> tight(0.0, 1e-4);
-  std::vector<Vec2> pts;
-  for (int c = 0; c < 8; ++c) {
-    const Vec2 center{u(rng) * 100.0, u(rng) * 100.0};
-    for (int i = 0; i < 300; ++i) {
-      pts.push_back({center.x + tight(rng), center.y + tight(rng)});
-    }
-  }
-  const TriangulateResult a = triangulate_points(pts, InsertionOrder::kXSorted);
-  const TriangulateResult b = triangulate_points(pts, InsertionOrder::kBrio);
-  ASSERT_TRUE(b.mesh.check_delaunay());
-  EXPECT_EQ(canonical_triangles(a.mesh), canonical_triangles(b.mesh));
 }
 
 // --- Cavity arena reuse ----------------------------------------------------
@@ -289,7 +196,7 @@ TEST(KernelLocate, HintIndependence) {
   // locate() must return a triangle actually containing the query point no
   // matter which live triangle seeds the walk.
   const std::vector<Vec2> pts = random_cloud(1500, 11);
-  const TriangulateResult r = triangulate_points(pts, InsertionOrder::kBrio);
+  const TriangulateResult r = triangulate_points(pts);
   const DelaunayMesh& mesh = r.mesh;
 
   std::vector<TriIndex> live;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -135,6 +136,36 @@ TEST_F(PipelineTest, SequentialMeshBytesArePinned) {
   EXPECT_EQ(r.mesh.triangle_count(), 18798u);
 }
 
+TEST_F(PipelineTest, HighLiftWorkIsPinned) {
+  // bench_sequential's three-element-400 job, the paper's Section IV mesh:
+  // the work each stage does, as exact counts, and the mesh's bytes. A
+  // change that inserts more Steiner points, splits differently or merges
+  // in another order fails here exactly, however busy the host is; how
+  // fast the job runs is perfbench's highlift-seq to judge.
+  Options cfg;
+  cfg.airfoil = make_three_element(400);
+  cfg.growth_kind = GrowthKind::kGeometric;
+  cfg.first_height = 2e-4;
+  cfg.growth_ratio = 1.2;
+  cfg.max_layers = 45;
+  cfg.farfield_chords = 25.0;
+  cfg.grade = 0.01;
+  cfg.surface_length_factor = 2.0;
+  cfg.inviscid_target_triangles = 100000.0;
+  cfg.bl_min_points = 2000;
+  cfg.bl_max_level = 12;
+  const MeshGenerationResult r = generate_mesh(cfg);
+  EXPECT_EQ(r.boundary_layer.points.size(), 20066u);
+  EXPECT_EQ(r.bl_subdomains, 16u);
+  EXPECT_EQ(r.inviscid_subdomains, 17u);
+  EXPECT_EQ(r.bl_triangles, 37917u);
+  EXPECT_EQ(r.inviscid_triangles, 1235808u);
+  EXPECT_EQ(r.mesh.triangle_count(), 1273725u);
+  EXPECT_EQ(r.mesh.point_count(), 638335u);
+  const std::vector<std::uint8_t> blob = MeshView(r.mesh).serialize();
+  EXPECT_EQ(crc32(blob.data(), blob.size()), 0x6a93fb64u);
+}
+
 TEST(OptionsValidate, NonFiniteSurfaceCoordinateIsAGeometryError) {
   // NaN escapes the kernel untyped and an infinity never lets the mesher
   // finish, so validate() must stop both before any stage runs.
@@ -155,6 +186,59 @@ TEST(OptionsValidate, NonFiniteSurfaceCoordinateIsAGeometryError) {
       }
       EXPECT_EQ(geometry_errors, 1u) << bad << (in_y ? " in y" : " in x");
     }
+  }
+}
+
+std::size_t geometry_errors(const Options& cfg) {
+  std::size_t n = 0;
+  for (const OptionIssue& i : cfg.validate()) {
+    if (i.is_error() && i.field == "geometry") ++n;
+  }
+  return n;
+}
+
+TEST(OptionsValidate, ClockwiseOrFlatElementIsAGeometryError) {
+  // Surfaces are closed CCW loops. A clockwise NACA came back kOk with less
+  // than half the triangles, and a collinear element came back kOk too.
+  const Options clean = Options().geometry(make_naca0012(60));
+  ASSERT_EQ(geometry_errors(clean), 0u);
+
+  Options reversed = clean;
+  std::vector<Vec2>& loop = reversed.airfoil.elements[0].surface;
+  std::reverse(loop.begin(), loop.end());
+  EXPECT_EQ(geometry_errors(reversed), 1u);
+
+  Options mirrored = clean;
+  for (Vec2& p : mirrored.airfoil.elements[0].surface) p.y = -p.y;
+  EXPECT_EQ(geometry_errors(mirrored), 1u);
+
+  Options flat = clean;
+  flat.airfoil.elements.push_back(
+      {.name = "flat", .surface = {{1.5, 0.5}, {1.75, 0.75}, {2.0, 1.0}}});
+  EXPECT_EQ(geometry_errors(flat), 1u);
+}
+
+TEST(OptionsValidate, BodyOutsideTheFarFieldIsAGeometryError) {
+  // The far field is a square 2 x farfield_chords x chord wide. One
+  // coordinate of 1e300 kept generate_mesh running for good.
+  const Options clean =
+      Options().geometry(make_naca0012(60)).set_farfield_chords(5.0);
+  ASSERT_EQ(geometry_errors(clean), 0u);
+
+  Options huge = clean;
+  huge.airfoil.elements[0].surface[17].y = 1e300;
+  EXPECT_EQ(geometry_errors(huge), 1u);
+
+  // A 12-chord body under a 10-chord square, lying or standing; 9 fits.
+  for (const double turn : {0.0, 1.5707963267948966}) {
+    Options wide = clean;
+    wide.airfoil.elements[0] = clean.airfoil.elements[0].transformed(
+        12.0, turn, {0.0, 0.0});
+    EXPECT_EQ(geometry_errors(wide), 1u) << "turn " << turn;
+    Options fits = clean;
+    fits.airfoil.elements[0] = clean.airfoil.elements[0].transformed(
+        9.0, turn, {0.0, 0.0});
+    EXPECT_EQ(geometry_errors(fits), 0u) << "turn " << turn;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -352,6 +353,7 @@ TEST(MeshServer, CacheHitIsBitIdenticalToFreshMesh) {
   EXPECT_EQ(pts, hit.vertices);
   EXPECT_EQ(tris, hit.triangles);
   EXPECT_EQ(server.stats().cache_hits, 1u);
+  EXPECT_EQ(server.stats().completed, 1u);  // the hit never reached a worker
 }
 
 TEST(MeshServer, PooledRunSharesCacheWithSequential) {
@@ -410,7 +412,11 @@ TEST(MeshServer, InvalidOptionsRejectedWithoutQueueing) {
   MeshRequest nan_point = request_of(10, 0, 60);
   nan_point.options.airfoil.elements[0].surface[5].y =
       std::numeric_limits<double>::quiet_NaN();
-  for (MeshRequest req : {bad_height, nan_point}) {
+  // So is a clockwise surface, which meshed the body inside out.
+  MeshRequest clockwise = request_of(11, 0, 60);
+  std::vector<Vec2>& loop = clockwise.options.airfoil.elements[0].surface;
+  std::reverse(loop.begin(), loop.end());
+  for (MeshRequest req : {bad_height, nan_point, clockwise}) {
     MeshServer server(ServerConfig{});
     const MeshResponse resp = server.submit_wait(std::move(req));
     EXPECT_EQ(resp.status, ServiceStatus::kInvalidOptions);
@@ -581,6 +587,28 @@ TEST(MeshServer, FaultInjectedPooledRequestStillOkAndCached) {
   ASSERT_EQ(hit.status, ServiceStatus::kOk);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.mesh_blob, pooled.mesh_blob);
+
+  // Sustained chaos: 8 concurrent 4-rank requests with distinct fault seeds
+  // on 2 workers, each answered once, by a worker, with kOk.
+  constexpr std::size_t kChaos = 8;
+  ServerConfig two;
+  two.workers = 2;
+  MeshServer chaos(two);
+  std::vector<std::future<MeshResponse>> futures;
+  for (std::size_t i = 0; i < kChaos; ++i) {
+    MeshRequest r =
+        request_of(100 + i, static_cast<int>(i % 2), 80 + 2 * i, 4);
+    r.options.set_max_layers(12).set_farfield_chords(8.0);
+    r.options.set_fault_rate(0.02).set_fault_seed(i * 7919 + 1);
+    futures.push_back(chaos.submit(std::move(r)));
+  }
+  for (std::size_t i = 0; i < kChaos; ++i) {
+    const MeshResponse resp = futures[i].get();  // a dropped one would hang
+    EXPECT_EQ(resp.id, 100 + i);
+    EXPECT_EQ(resp.status, ServiceStatus::kOk) << "id " << resp.id;
+    EXPECT_GT(resp.triangles, 0u);
+  }
+  EXPECT_EQ(chaos.stats().completed, kChaos);  // none duplicated, none a hit
 }
 
 }  // namespace
