@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/crc32.hpp"
 #include "core/mesh_generator.hpp"
 #include "core/pipeline_config.hpp"  // aerolint: allow(public-api)
 #include "core/timer.hpp"
@@ -127,10 +128,8 @@ int main() {
       s.dropped_messages, s.duplicated_messages, s.corrupt_payloads,
       s.retransmits, s.unit_retries, s.unit_failures, s.requeued_units,
       s.fallback_units, s.dead_ranks, s.reclaimed_units);
-  std::printf(
-      "  transport: msgs=%zu copied=%zu B zero_copy=%zu (%zu B) "
-      "pool_hits=%zu pool_misses=%zu\n",
-      s.comm_messages, s.comm_bytes, s.zero_copy_hits, s.window_bytes,
-      s.buffer_pool_hits, s.buffer_pool_misses);
+  std::printf("  transport: msgs=%zu copied=%zu B zero_copy=%zu (%zu B)\n",
+              s.comm_messages, s.comm_bytes, s.zero_copy_hits,
+              s.window_bytes);
   return 0;
 }

@@ -14,12 +14,12 @@
 //
 // Long options also accept --name=value syntax (e.g. --trace=run.json).
 //
-// Exit codes: 0 success; 1 non-manifold mesh; 2 usage error; 3 partial or
-// failed parallel run (watchdog/lost results); 4 pipeline exception; 5 an
-// --audit pass reported defects; 6 run stopped by a budget or signal (valid
-// partial mesh written; resumable with --resume when checkpointing); 7 mesh
-// exceeded 32-bit index capacity (checked kMeshTooLarge, never a silent
-// index truncation).
+// Exit codes: 0 success; 1 non-manifold mesh; 2 usage error (including a
+// --poly file that cannot be read); 3 partial or failed parallel run
+// (watchdog/lost results); 4 pipeline exception; 5 an --audit pass reported
+// defects; 6 run stopped by a budget or signal (valid partial mesh written;
+// resumable with --resume when checkpointing); 7 mesh exceeded 32-bit index
+// capacity (checked kMeshTooLarge, never a silent index truncation).
 //
 // Signals (parallel runs): the first SIGINT/SIGTERM requests a graceful
 // drain -- in-flight subdomains finish, the checkpoint journal, partial
@@ -218,7 +218,12 @@ int main(int argc, char** argv) {
   opts.trace = !trace_path.empty();
 
   if (!poly_path.empty()) {
-    opts.airfoil = load_poly_geometry(poly_path);
+    try {
+      opts.airfoil = load_poly_geometry(poly_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
   } else if (geometry == "three-element") {
     opts.airfoil = make_three_element(surface_points);
   } else if (geometry.rfind("naca", 0) == 0 && geometry.size() == 8) {

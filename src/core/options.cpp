@@ -117,13 +117,17 @@ std::vector<OptionIssue> Options::validate() const {
               "counter-clockwise loops)");
     }
   }
+  // The chord scales the far field and crosses the aeromeshd wire; a NaN
+  // or infinite one never lets the mesher finish.
+  const bool chord_ok = std::isfinite(airfoil.chord) && airfoil.chord > 0.0;
+  if (!chord_ok) err(issues, "geometry", "chord must be finite and > 0");
   // make_inviscid_domain centres a far-field square of half-extent
   // farfield_chords x chord on the boundary layer. A body as wide or as tall
   // as that square cannot be meshed, and the mesher does not stop on one by
-  // itself. Non-finite coordinates are reported above.
+  // itself. Non-finite coordinates and a bad chord are reported above.
   const BBox2 body = airfoil.bbox();
   const double farfield_side = 2.0 * farfield_chords * airfoil.chord;
-  if (all_finite && !body.empty() &&
+  if (all_finite && chord_ok && !body.empty() &&
       (body.width() >= farfield_side || body.height() >= farfield_side)) {
     err(issues, "geometry",
         "surfaces span " + fmt_double(body.width()) + " x " +

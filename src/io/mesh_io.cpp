@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/mesh_view.hpp"
 
@@ -109,22 +110,37 @@ Pslg read_poly(const std::string& path) {
   if (!f || dim != 2) throw std::runtime_error("bad .poly header: " + path);
   pslg.points.resize(np);
   if (nmark) pslg.point_markers.resize(np);
+  // Triangle's format numbers vertices from 0 or from 1; the first vertex
+  // number sets the base the segment endpoints are counted from.
+  std::size_t base = 0;
   for (std::size_t i = 0; i < np; ++i) {
     std::size_t id;
     f >> id >> pslg.points[i].x >> pslg.points[i].y;
+    if (i == 0) base = id;
     for (std::size_t a = 0; a < nattr; ++a) {
       double skip;
       f >> skip;
     }
     if (nmark) f >> pslg.point_markers[i];
   }
+  if (base > 1) {
+    throw std::runtime_error("bad .poly vertex numbering (first vertex " +
+                             std::to_string(base) + ", not 0 or 1): " + path);
+  }
   std::size_t ns, smark;
   f >> ns >> smark;
   pslg.segments.resize(ns);
   for (std::size_t i = 0; i < ns; ++i) {
-    std::size_t id;
-    f >> id >> pslg.segments[i].first >> pslg.segments[i].second;
-    for (std::size_t a = 0; a < smark; ++a) {
+    std::size_t id, a, b;
+    f >> id >> a >> b;
+    if (!f) break;  // reported as a truncated file below
+    if (a < base || a - base >= np || b < base || b - base >= np) {
+      throw std::runtime_error("segment " + std::to_string(i) +
+                               " names a vertex outside the file: " + path);
+    }
+    pslg.segments[i] = {static_cast<std::uint32_t>(a - base),
+                        static_cast<std::uint32_t>(b - base)};
+    for (std::size_t m = 0; m < smark; ++m) {
       int skip;
       f >> skip;
     }

@@ -134,7 +134,8 @@ void Communicator::deliver(int to, Message msg,
   box.cv.notify_one();
 }
 
-void Communicator::send(int from, int to, int tag, ByteBuf payload) {
+void Communicator::send(int from, int to, int tag,
+                        std::vector<std::uint8_t> payload) {
   AERO_TRACE_SPAN("comm", "send");
   messages_.fetch_add(1, std::memory_order_relaxed);
   payload_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);

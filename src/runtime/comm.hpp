@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/annotations.hpp"
-#include "runtime/bytes.hpp"
 
 namespace aero {
 
@@ -28,14 +27,14 @@ enum MsgTag : int {
   kTagResultAck = 8,     ///< root acknowledges a rank's result payload
 };
 
-/// A point-to-point message. The payload stores up to 64 bytes inline
-/// (ByteBuf), so the control traffic that dominates message *count* --
-/// acks, steal requests, denials, window control frames -- moves through
-/// the fabric without touching the heap.
+/// A point-to-point message. The pool's payloads travel through the
+/// payload windows (runtime/rma.hpp), so a payload here is a control frame
+/// or an ack of at most 37 bytes, or empty (steal requests, denials,
+/// shutdowns).
 struct Message {
   int tag = 0;
   int from = -1;
-  ByteBuf payload;
+  std::vector<std::uint8_t> payload;
 };
 
 /// Deterministic fault-injection configuration. All decisions derive from
@@ -148,7 +147,8 @@ class Communicator {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
   /// Enqueue a message into `to`'s mailbox (subject to fault injection).
-  void send(int from, int to, int tag, ByteBuf payload = {});
+  void send(int from, int to, int tag,
+            std::vector<std::uint8_t> payload = {});
 
   /// Blocking receive of the next message for `rank`.
   Message recv(int rank);

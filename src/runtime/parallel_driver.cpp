@@ -156,8 +156,6 @@ void publish_pool_metrics(const PoolStats& stats, const std::string& prefix) {
   count("comm_bytes", stats.comm_bytes);
   count("zero_copy_hits", stats.zero_copy_hits);
   count("window_bytes", stats.window_bytes);
-  count("buffer_pool_hits", stats.buffer_pool_hits);
-  count("buffer_pool_misses", stats.buffer_pool_misses);
   std::size_t units = 0;
   for (const std::size_t t : stats.tasks_per_rank) units += t;
   count("units_processed", units);

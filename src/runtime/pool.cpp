@@ -18,6 +18,10 @@ namespace aero {
 
 namespace {
 
+/// Re-attempts of a throwing unit on the same rank before it is re-queued
+/// to another rank / escalated to the root-side sequential fallback.
+constexpr int kMaxUnitRetries = 2;
+
 /// Per-rank shared state between its mesher and communicator threads.
 struct RankState {
   Mutex m AERO_LOCK_NAME("pool.rank", 10) AERO_ACQUIRED_BEFORE("pool.results");
@@ -33,7 +37,8 @@ struct RankState {
   /// This rank's non-empty leaf pieces, in completion order. Not
   /// lock-guarded: owned by the mesher thread until it observes `shutdown`
   /// (set under `m`, which orders the hand-off), then read by the
-  /// communicator thread for the result gather.
+  /// communicator thread for the result gather and cleared once the root
+  /// has acked the result.
   std::vector<MeshView> pieces;
   std::size_t tasks_done = 0;
 
@@ -60,10 +65,6 @@ struct SharedState {
   Communicator comm;
   RmaWindow window;
   FaultInjector injector;
-  /// Recycles serialization buffers across ranks and threads (donor
-  /// serializes, receiver releases): the steady-state hot path reuses
-  /// buffers instead of allocating.
-  BufferPool buffers;
   /// Per-rank registered payload windows for zero-copy transfers (deque:
   /// PayloadWindow owns a mutex and cannot move).
   std::deque<PayloadWindow> payload_windows;
@@ -136,7 +137,7 @@ struct SharedState {
     for (int r = 0; r < o.nranks; ++r) {
       dead[static_cast<std::size_t>(r)].store(false);
       comm_exited[static_cast<std::size_t>(r)].store(false);
-      payload_windows.emplace_back(&buffers);
+      payload_windows.emplace_back();
     }
     comm.set_fault_injector(&injector);
   }
@@ -198,7 +199,7 @@ bool replay_resumed(SharedState& shared, RankState& rs, std::uint64_t key) {
 struct InFlight {
   int dest = -1;
   int tag = 0;
-  ByteBuf frame;
+  std::vector<std::uint8_t> frame;
   std::chrono::steady_clock::time_point deadline;
   int tries = 0;
   std::uint32_t slot = 0;
@@ -209,7 +210,7 @@ struct InFlight {
 struct Published {
   std::uint64_t nonce = 0;
   std::uint32_t slot = 0;
-  ByteBuf frame;
+  std::vector<std::uint8_t> frame;
 };
 
 /// Publish a serialized payload into `rank`'s window under a fresh nonce and
@@ -226,8 +227,7 @@ Published publish_and_send(SharedState& shared, int rank, int dest, int tag,
               dest);
   trace_event(shared, ProtocolEvent::Kind::kDispatch, p.nonce, rank, dest);
   p.frame = make_window_frame(p.nonce, rank, p.slot, len, digest);
-  ByteBuf copy = p.frame;
-  shared.comm.send(rank, dest, tag, std::move(copy));
+  shared.comm.send(rank, dest, tag, p.frame);
   return p;
 }
 
@@ -251,8 +251,7 @@ void send_unit(SharedState& shared, int rank, int dest, int tag,
                std::map<std::uint64_t, InFlight>& in_flight) {
   AERO_TRACE_SPAN("rma", "publish");
   shared.transfer_bytes.fetch_add(serialized_size(unit));
-  Published p = publish_and_send(shared, rank, dest, tag,
-                                 serialize(unit, &shared.buffers));
+  Published p = publish_and_send(shared, rank, dest, tag, serialize(unit));
   in_flight[p.nonce] =
       InFlight{dest, tag, std::move(p.frame),
                mono_now() + shared.opts->ack_timeout, 0, p.slot};
@@ -313,7 +312,7 @@ void process_unit(SharedState& shared, std::vector<RankState>& ranks, int rank,
   std::vector<WorkUnit> children;
   MeshView piece;
   bool ok = false;
-  for (int attempt = 0; attempt <= opts.max_unit_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxUnitRetries; ++attempt) {
     if (attempt > 0) shared.unit_retries.fetch_add(1);
     children.clear();
     piece = MeshView{};
@@ -458,12 +457,10 @@ void root_accept_result(SharedState& shared, const Message& msg) {
     }
     shared.zero_copy.fetch_add(1);
     shared.window_bytes.fetch_add(bytes->size());
-    const std::size_t logical_bytes = bytes->size();
-    shared.buffers.release(std::move(*bytes));
     {
       MutexLock lock(shared.results_m);
       if (shared.results.emplace(from, std::move(piece)).second) {
-        shared.result_bytes.fetch_add(logical_bytes);
+        shared.result_bytes.fetch_add(bytes->size());
       }
     }
     trace_event(shared, ProtocolEvent::Kind::kAccept, parsed->nonce, 0, from);
@@ -574,7 +571,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
             }
             shared.zero_copy.fetch_add(1);
             shared.window_bytes.fetch_add(bytes->size());
-            shared.buffers.release(std::move(*bytes));
             seen_frames.insert(parsed->nonce);
           }
           // Record the accept/duplicate verdict BEFORE the ack leaves: the
@@ -599,7 +595,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
             if (it != in_flight.end()) {
               // Ack on an untaken slot means the receiver accepted a
               // duplicate nonce without consuming; either way the slot is
-              // finished -- drop it (recycling untaken bytes).
+              // finished -- drop it (freeing untaken bytes).
               shared.payload_windows[static_cast<std::size_t>(rank)].release(
                   it->second.slot, *id);
               in_flight.erase(it);
@@ -641,8 +637,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
         } else {
           // Retransmission resends the 37-byte control frame; the payload
           // stays in our window, so this never deep-copies mesh bytes.
-          auto copy = f.frame;
-          shared.comm.send(rank, f.dest, f.tag, std::move(copy));
+          shared.comm.send(rank, f.dest, f.tag, f.frame);
           shared.retransmits.fetch_add(1);
           ++rs.retransmits_sent;
           AERO_TRACE_INSTANT_ARG("pool", "retransmit", it->first);
@@ -660,10 +655,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
         auto bytes =
             shared.payload_windows[static_cast<std::size_t>(rank)].reclaim(
                 f.slot, nonce);
-        if (bytes) {
-          unit = deserialize_work(bytes->data(), bytes->size());
-          shared.buffers.release(std::move(*bytes));
-        }
+        if (bytes) unit = deserialize_work(bytes->data(), bytes->size());
         if (!unit) {
           trace_event(shared, ProtocolEvent::Kind::kAbandoned, nonce, rank,
                       f.dest);
@@ -733,7 +725,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   // Shutdown phase. Any in-flight residue is ack loss on completed work:
   // termination implies every unit completed, so nothing is retransmitted.
   // The residue's slots were therefore taken; release is a harmless erase
-  // (and recycles the bytes in the ack-lost-before-take corner).
+  // (and frees the bytes in the ack-lost-before-take corner).
   for (const auto& [nonce, f] : in_flight) {
     shared.payload_windows[static_cast<std::size_t>(rank)].release(f.slot,
                                                                    nonce);
@@ -794,7 +786,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
     constexpr int kMaxResultTries = 64;
     const Published sent = publish_and_send(
         shared, rank, 0, kTagResult,
-        serialize_piece(MeshView::concat(rs.pieces), &shared.buffers));
+        serialize_piece(MeshView::concat(rs.pieces)));
     const std::uint64_t nonce = sent.nonce;
     auto deadline = mono_now() + opts.ack_timeout;
     int tries = 0;
@@ -811,8 +803,7 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
       const auto now = mono_now();
       if (now >= deadline) {
         if (++tries > kMaxResultTries) break;
-        auto again = sent.frame;
-        shared.comm.send(rank, 0, kTagResult, std::move(again));
+        shared.comm.send(rank, 0, kTagResult, sent.frame);
         shared.retransmits.fetch_add(1);
         ++rs.retransmits_sent;
         AERO_TRACE_INSTANT("pool", "retransmit_result");
@@ -824,6 +815,9 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
       trace_event(shared, ProtocolEvent::Kind::kAckMatched, nonce, rank, 0);
       shared.payload_windows[static_cast<std::size_t>(rank)].release(
           sent.slot, nonce);
+      // The ack means the root holds the result, so the pieces are no
+      // longer needed: run_pool reads them only for a rank with no result.
+      rs.pieces.clear();
     } else {
       // Gave up (abort or retry cap). The slot is deliberately NOT released:
       // a frame already in flight (injector delay) may still reach the root
@@ -1075,11 +1069,17 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   }
 
   // Root-side merge: rank 0's own pieces in append order, then every
-  // gathered rank piece rank-ascending.
-  for (const MeshView& piece : ranks[0].pieces) out.append(piece);
+  // gathered rank piece rank-ascending. Each piece is freed once appended.
+  for (MeshView& piece : ranks[0].pieces) {
+    out.append(piece);
+    piece = MeshView{};
+  }
   {
     MutexLock lock(shared.results_m);
-    for (const auto& [from, piece] : shared.results) out.append(piece);
+    for (auto& [from, piece] : shared.results) {
+      out.append(piece);
+      piece = MeshView{};
+    }
     for (int r = 1; r < opts.nranks; ++r) {
       const auto ri = static_cast<std::size_t>(r);
       if (shared.results.find(r) != shared.results.end()) continue;
@@ -1131,8 +1131,6 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
   }
   stats.zero_copy_hits = shared.zero_copy.load(std::memory_order_relaxed);
   stats.window_bytes = shared.window_bytes.load(std::memory_order_relaxed);
-  stats.buffer_pool_hits = shared.buffers.hits();
-  stats.buffer_pool_misses = shared.buffers.misses();
   stats.busy_seconds_per_rank.resize(ranks.size());
   stats.comm_seconds_per_rank.resize(ranks.size());
   stats.donated_per_rank.resize(ranks.size());

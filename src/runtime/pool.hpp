@@ -58,9 +58,6 @@ struct PoolOptions {
 
   /// Fault injection (off by default; the recovery machinery is always on).
   FaultConfig faults;
-  /// Re-attempts of a throwing unit on the same rank before it is re-queued
-  /// to another rank / escalated to the root-side sequential fallback.
-  int max_unit_retries = 2;
 
   /// Optional protocol event recorder (audit_protocol replays it). Off by
   /// default; recording takes one short lock per protocol event.
@@ -108,8 +105,6 @@ struct PoolStats {
   std::size_t comm_bytes = 0;     ///< control bytes copied through mailboxes
   std::size_t zero_copy_hits = 0; ///< payloads that moved by window handoff
   std::size_t window_bytes = 0;   ///< payload bytes moved zero-copy
-  std::size_t buffer_pool_hits = 0;    ///< serialization buffers recycled
-  std::size_t buffer_pool_misses = 0;  ///< fresh buffer allocations
 
   // Fault-tolerance accounting.
   std::size_t unit_retries = 0;    ///< same-rank re-attempts after a throw

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "core/crc32.hpp"
+
 namespace aero {
 
 namespace {
@@ -31,20 +33,24 @@ T load(const std::uint8_t* p) {
 
 }  // namespace
 
-ByteBuf make_window_frame(std::uint64_t nonce, int src, std::uint32_t slot,
-                          std::uint64_t length, std::uint64_t digest) {
-  std::uint8_t b[kWindowFrameSize];
-  b[0] = kKindWindow;
-  store(b + 1, nonce);
-  store(b + 9, static_cast<std::int32_t>(src));
-  store(b + 13, slot);
-  store(b + 17, length);
-  store(b + 25, digest);
-  store(b + 33, crc32(b, 33));
-  return ByteBuf(b, kWindowFrameSize);
+std::vector<std::uint8_t> make_window_frame(std::uint64_t nonce, int src,
+                                            std::uint32_t slot,
+                                            std::uint64_t length,
+                                            std::uint64_t digest) {
+  std::vector<std::uint8_t> b(kWindowFrameSize);
+  std::uint8_t* p = b.data();
+  p[0] = kKindWindow;
+  store(p + 1, nonce);
+  store(p + 9, static_cast<std::int32_t>(src));
+  store(p + 13, slot);
+  store(p + 17, length);
+  store(p + 25, digest);
+  store(p + 33, crc32(p, 33));
+  return b;
 }
 
-std::optional<ParsedFrame> parse_frame(const ByteBuf& payload) {
+std::optional<ParsedFrame> parse_frame(
+    const std::vector<std::uint8_t>& payload) {
   if (payload.size() != kWindowFrameSize) return std::nullopt;
   const std::uint8_t* p = payload.data();
   if (p[0] != kKindWindow) return std::nullopt;
@@ -58,14 +64,14 @@ std::optional<ParsedFrame> parse_frame(const ByteBuf& payload) {
   return f;
 }
 
-ByteBuf make_ack(std::uint64_t nonce) {
-  std::uint8_t b[12];
-  store(b, nonce);
-  store(b + 8, crc32(b, 8));
-  return ByteBuf(b, sizeof(b));
+std::vector<std::uint8_t> make_ack(std::uint64_t nonce) {
+  std::vector<std::uint8_t> b(12);
+  store(b.data(), nonce);
+  store(b.data() + 8, crc32(b.data(), 8));
+  return b;
 }
 
-std::optional<std::uint64_t> parse_ack(const ByteBuf& b) {
+std::optional<std::uint64_t> parse_ack(const std::vector<std::uint8_t>& b) {
   if (b.size() != 12) return std::nullopt;
   if (load<std::uint32_t>(b.data() + 8) != crc32(b.data(), 8)) {
     return std::nullopt;
@@ -94,18 +100,6 @@ std::uint32_t PayloadWindow::publish(std::uint64_t nonce,
 }
 
 std::optional<std::vector<std::uint8_t>> PayloadWindow::take(
-    std::uint32_t slot, std::uint64_t nonce) {
-  MutexLock lock(m_);
-  auto it = slots_.find(slot);
-  if (it == slots_.end() || it->second.taken || it->second.nonce != nonce) {
-    return std::nullopt;
-  }
-  it->second.taken = true;
-  taken_.fetch_add(1, std::memory_order_relaxed);
-  return std::move(it->second.bytes);
-}
-
-std::optional<std::vector<std::uint8_t>> PayloadWindow::take(
     std::uint32_t slot, std::uint64_t nonce, std::uint64_t length,
     std::uint64_t digest) {
   MutexLock lock(m_);
@@ -123,17 +117,10 @@ std::optional<std::vector<std::uint8_t>> PayloadWindow::take(
 }
 
 void PayloadWindow::release(std::uint32_t slot, std::uint64_t nonce) {
-  std::vector<std::uint8_t> recycled;
-  {
-    MutexLock lock(m_);
-    auto it = slots_.find(slot);
-    if (it == slots_.end() || it->second.nonce != nonce) return;
-    if (!it->second.taken) recycled = std::move(it->second.bytes);
-    slots_.erase(it);
-  }
-  if (recycle_ != nullptr && !recycled.empty()) {
-    recycle_->release(std::move(recycled));
-  }
+  MutexLock lock(m_);
+  auto it = slots_.find(slot);
+  if (it == slots_.end() || it->second.nonce != nonce) return;
+  slots_.erase(it);
 }
 
 std::optional<std::vector<std::uint8_t>> PayloadWindow::reclaim(

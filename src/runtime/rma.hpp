@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "obs/annotations.hpp"
-#include "runtime/buffer_pool.hpp"
-#include "runtime/bytes.hpp"
 
 namespace aero {
 
@@ -46,20 +44,22 @@ struct ParsedFrame {
   std::uint64_t digest = 0;
 };
 
-/// Build the 37-byte control frame for a window transfer (fits ByteBuf
-/// inline storage; the mailbox never heap-allocates for it).
-ByteBuf make_window_frame(std::uint64_t nonce, int src, std::uint32_t slot,
-                          std::uint64_t length, std::uint64_t digest);
+/// Build the 37-byte control frame for a window transfer.
+std::vector<std::uint8_t> make_window_frame(std::uint64_t nonce, int src,
+                                            std::uint32_t slot,
+                                            std::uint64_t length,
+                                            std::uint64_t digest);
 
 /// Validate and decode a control frame; nullopt on truncation or header
 /// corruption (the sender retransmits an intact copy).
-std::optional<ParsedFrame> parse_frame(const ByteBuf& payload);
+std::optional<ParsedFrame> parse_frame(
+    const std::vector<std::uint8_t>& payload);
 
 /// Work acknowledgements carry the transfer nonce plus a CRC so a corrupted
 /// ack cannot erase the wrong in-flight entry (nonces are small integers; a
 /// single flipped byte could otherwise alias another pending transfer).
-ByteBuf make_ack(std::uint64_t nonce);
-std::optional<std::uint64_t> parse_ack(const ByteBuf& b);
+std::vector<std::uint8_t> make_ack(std::uint64_t nonce);
+std::optional<std::uint64_t> parse_ack(const std::vector<std::uint8_t>& b);
 
 /// Sampled fingerprint of a published payload: length plus ~16 evenly spaced
 /// bytes folded through splitmix64. Cheap enough for every handoff; strong
@@ -75,35 +75,29 @@ std::uint64_t payload_digest(const std::uint8_t* data, std::size_t n);
 ///
 /// Lifecycle of a slot:
 ///   publish -> take      (receiver consumed it; donor's release is a no-op)
-///   publish -> release   (ack arrived first copy; bytes recycle to the pool)
+///   publish -> release   (ack arrived first; untaken bytes are freed)
 ///   publish -> reclaim   (dest died: bytes return to the donor if the dest
 ///                         never took them, nullopt if it did -- then the
 ///                         watchdog's queue reclamation owns recovery)
 class PayloadWindow {
  public:
-  explicit PayloadWindow(BufferPool* recycle = nullptr)
-      : recycle_(recycle) {}
-
   /// Register `bytes` under `nonce`; returns the slot for the control frame.
   std::uint32_t publish(std::uint64_t nonce, std::vector<std::uint8_t> bytes);
 
-  /// Ownership handoff: move the bytes out if `slot` is live and was
-  /// published under `nonce`. Exactly-once -- a second take of the same slot
-  /// returns nullopt, as does a nonce mismatch (stale or forged frame).
-  std::optional<std::vector<std::uint8_t>> take(std::uint32_t slot,
-                                                std::uint64_t nonce);
-
-  /// Like take, but additionally checks the control frame's length and
-  /// sampled digest against the slot contents BEFORE consuming it, so a
-  /// frame that survived the header CRC with a damaged body cannot destroy
-  /// the published payload (the slot stays live for the retransmission).
+  /// Ownership handoff: move the bytes out if `slot` is live, was published
+  /// under `nonce`, and holds `length` bytes with the sampled `digest`.
+  /// Exactly-once -- a second take of the same slot returns nullopt, as does
+  /// a nonce mismatch (stale or forged frame). Length and digest are checked
+  /// BEFORE consuming, so a frame that survived the header CRC with a
+  /// damaged body cannot destroy the published payload (the slot stays live
+  /// for the retransmission).
   std::optional<std::vector<std::uint8_t>> take(std::uint32_t slot,
                                                 std::uint64_t nonce,
                                                 std::uint64_t length,
                                                 std::uint64_t digest);
 
-  /// Donor-side disposal after the ack: drop the slot, recycling untaken
-  /// bytes into the buffer pool. Idempotent.
+  /// Donor-side disposal after the ack: drop the slot and free any untaken
+  /// bytes. Idempotent.
   void release(std::uint32_t slot, std::uint64_t nonce);
 
   /// Donor-side recovery when the destination is declared dead: the bytes
@@ -125,11 +119,9 @@ class PayloadWindow {
     bool taken = false;
   };
 
-  mutable Mutex m_ AERO_LOCK_NAME("rt.payload_window", 65)
-      AERO_ACQUIRED_BEFORE("rt.buffer_pool");
+  mutable Mutex m_ AERO_LOCK_NAME("rt.payload_window", 65);
   std::map<std::uint32_t, Slot> slots_ AERO_GUARDED_BY(m_);
   std::uint32_t next_slot_ AERO_GUARDED_BY(m_) = 1;
-  BufferPool* recycle_ = nullptr;
   std::atomic<std::size_t> published_ AERO_ATOMIC_ROLE(counter){0};
   std::atomic<std::size_t> taken_ AERO_ATOMIC_ROLE(counter){0};
 };

@@ -4,18 +4,16 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "core/crc32.hpp"
+
 namespace aero {
 
 namespace {
 
 class Writer {
  public:
-  /// `capacity` sizes the (optionally pooled) buffer exactly.
-  Writer(std::size_t capacity, BufferPool* pool)
-      : bytes_(pool != nullptr ? pool->acquire(capacity)
-                               : std::vector<std::uint8_t>()) {
-    if (pool == nullptr) bytes_.reserve(capacity);
-  }
+  /// `capacity` sizes the buffer exactly.
+  explicit Writer(std::size_t capacity) { bytes_.reserve(capacity); }
   template <typename T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -118,8 +116,8 @@ std::size_t serialized_size(const MeshView& piece) {
   return piece.serialized_size() + 4;  // CRC trailer
 }
 
-std::vector<std::uint8_t> serialize(const WorkUnit& unit, BufferPool* pool) {
-  Writer w(serialized_size(unit), pool);
+std::vector<std::uint8_t> serialize(const WorkUnit& unit) {
+  Writer w(serialized_size(unit));
   w.put<std::uint64_t>(unit.id);
   w.put<std::uint64_t>(unit.failed_ranks);
   w.put<std::uint8_t>(static_cast<std::uint8_t>(unit.kind));
@@ -190,13 +188,8 @@ WorkUnit deserialize_work(const std::vector<std::uint8_t>& bytes) {
   return deserialize_work(bytes.data(), bytes.size());
 }
 
-WorkUnit deserialize_work(const ByteBuf& bytes) {
-  return deserialize_work(bytes.data(), bytes.size());
-}
-
-std::vector<std::uint8_t> serialize_piece(const MeshView& piece,
-                                          BufferPool* pool) {
-  Writer w(serialized_size(piece), pool);
+std::vector<std::uint8_t> serialize_piece(const MeshView& piece) {
+  Writer w(serialized_size(piece));
   w.put_piece(piece);
   return w.take();
 }

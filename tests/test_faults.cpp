@@ -7,6 +7,7 @@
 
 #include <chrono>
 
+#include "core/crc32.hpp"  // aerolint: allow(public-api)
 #include "core/mesh_generator.hpp"
 #include "core/pipeline_config.hpp"  // aerolint: allow(public-api)
 #include "core/timer.hpp"  // aerolint: allow(public-api)
@@ -366,7 +367,6 @@ TEST(PoolFaults, ChaosRunProducesTheFaultFreeMesh) {
   chaos_opts.faults.delay = std::chrono::microseconds(200);
   chaos_opts.faults.dead_ranks = {1};
   chaos_opts.faults.fail_unit_ids = {0};
-  chaos_opts.max_unit_retries = 2;
 
   MergedMesh chaotic;
   auto initial = fx.initial;

@@ -1,6 +1,7 @@
 // Mesh and PSLG I/O round trips.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -16,7 +17,9 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "aeromesh_io_test";
+    // Per process: ctest runs each case in its own process, concurrently.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("aeromesh_io_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -91,13 +94,48 @@ TEST_F(IoTest, PolyRoundTrip) {
   EXPECT_EQ(q.point_markers, p.point_markers);
 }
 
+// The unit square in Triangle's .poly format, vertices numbered from 0 and
+// from 1, and two files whose vertex numbers do not add up.
+constexpr const char* kSquareFrom0 =
+    "4 2 0 0\n0 0 0\n1 1 0\n2 1 1\n3 0 1\n"
+    "4 0\n0 0 1\n1 1 2\n2 2 3\n3 3 0\n0\n";
+constexpr const char* kSquareFrom1 =
+    "4 2 0 0\n1 0 0\n2 1 0\n3 1 1\n4 0 1\n"
+    "4 0\n1 1 2\n2 2 3\n3 3 4\n4 4 1\n0\n";
+constexpr const char* kEndpointPastTheVertices =
+    "4 2 0 0\n0 0 0\n1 1 0\n2 1 1\n3 0 1\n"
+    "4 0\n0 0 1\n1 1 2\n2 2 3\n3 3 4\n0\n";
+constexpr const char* kSquareFrom2 =
+    "4 2 0 0\n2 0 0\n3 1 0\n4 1 1\n5 0 1\n"
+    "4 0\n2 2 3\n3 3 4\n4 4 5\n5 5 2\n0\n";
+
+void write_text(const std::string& path, const char* text) {
+  std::ofstream f(path);
+  f << text;
+}
+
+TEST_F(IoTest, ReadPolyCountsSegmentsFromTheFirstVertexNumber) {
+  write_text(path("from0.poly"), kSquareFrom0);
+  write_text(path("from1.poly"), kSquareFrom1);
+  const Pslg zero = read_poly(path("from0.poly"));
+  const Pslg one = read_poly(path("from1.poly"));
+  ASSERT_EQ(zero.segments.size(), 4u);
+  EXPECT_EQ(zero.segments[3], (std::pair<std::uint32_t, std::uint32_t>{3, 0}));
+  EXPECT_EQ(one.points, zero.points);
+  EXPECT_EQ(one.segments, zero.segments);
+  EXPECT_EQ(one.holes, zero.holes);
+}
+
 TEST_F(IoTest, ReadPolyRejectsGarbage) {
-  {
-    std::ofstream f(path("bad.poly"));
-    f << "not a poly file";
-  }
+  write_text(path("bad.poly"), "not a poly file");
   EXPECT_THROW(read_poly(path("bad.poly")), std::runtime_error);
   EXPECT_THROW(read_poly(path("missing.poly")), std::runtime_error);
+  // An endpoint past the vertex count crashed the CLI's loop walk, and a
+  // first vertex number other than 0 or 1 is no numbering base at all.
+  write_text(path("past.poly"), kEndpointPastTheVertices);
+  write_text(path("from2.poly"), kSquareFrom2);
+  EXPECT_THROW(read_poly(path("past.poly")), std::runtime_error);
+  EXPECT_THROW(read_poly(path("from2.poly")), std::runtime_error);
 }
 
 TEST(Timer, MeasuresElapsed) {

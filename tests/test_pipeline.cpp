@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/crc32.hpp"  // aerolint: allow(public-api)
@@ -239,6 +240,26 @@ TEST(OptionsValidate, BodyOutsideTheFarFieldIsAGeometryError) {
     fits.airfoil.elements[0] = clean.airfoil.elements[0].transformed(
         9.0, turn, {0.0, 0.0});
     EXPECT_EQ(geometry_errors(fits), 0u) << "turn " << turn;
+  }
+}
+
+TEST(OptionsValidate, NonFiniteOrNonPositiveChordIsAGeometryError) {
+  // A NaN or infinite chord passed validation and generate_mesh then ran
+  // past 20 s; 0 and -1 were caught only by the far-field check, as a
+  // "0-wide" or "-12-wide" far field. Each is exactly one chord error.
+  const Options clean = Options().geometry(make_naca0012(60));
+  ASSERT_EQ(geometry_errors(clean), 0u);
+  for (const double chord : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.0,
+                             -1.0}) {
+    Options cfg = clean;
+    cfg.airfoil.chord = chord;
+    std::vector<std::string> errors;
+    for (const OptionIssue& i : cfg.validate()) {
+      if (i.is_error() && i.field == "geometry") errors.push_back(i.message);
+    }
+    EXPECT_EQ(errors, std::vector<std::string>{"chord must be finite and > 0"})
+        << "chord " << chord;
   }
 }
 

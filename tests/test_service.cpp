@@ -416,7 +416,10 @@ TEST(MeshServer, InvalidOptionsRejectedWithoutQueueing) {
   MeshRequest clockwise = request_of(11, 0, 60);
   std::vector<Vec2>& loop = clockwise.options.airfoil.elements[0].surface;
   std::reverse(loop.begin(), loop.end());
-  for (MeshRequest req : {bad_height, nan_point, clockwise}) {
+  // And a NaN chord, which crosses the wire and never let the mesher finish.
+  MeshRequest nan_chord = request_of(12, 0, 60);
+  nan_chord.options.airfoil.chord = std::numeric_limits<double>::quiet_NaN();
+  for (MeshRequest req : {bad_height, nan_point, clockwise, nan_chord}) {
     MeshServer server(ServerConfig{});
     const MeshResponse resp = server.submit_wait(std::move(req));
     EXPECT_EQ(resp.status, ServiceStatus::kInvalidOptions);

@@ -258,7 +258,7 @@ def _scan_function(eng, sf, fn, table, member_lock, edges):
 
 def _is_decl_like(toks, i):
     """True when toks[i] looks like a declarator name, not a call (the
-    previous token is a type-ish id or '>', e.g. `ByteBuf send(...)`)."""
+    previous token is a type-ish id or '>', e.g. `Message recv(...)`)."""
     prev = toks[i - 1]
     return prev.kind == "id" or prev.text in (">", "*", "&")
 

@@ -144,7 +144,7 @@ PAYLOAD_COPY_RE = re.compile(r"=\s*[\w.\[\]()>-]*(?:\.|->)payload\s*;")
 # The serializers: the only runtime files allowed to memcpy, because turning
 # structured work into wire bytes (and back) is the one legitimate byte-level
 # copy. Everything downstream of them hands the resulting buffer off by move.
-PAYLOAD_COPY_SERIALIZERS = {"work.cpp", "rma.cpp", "bytes.hpp"}
+PAYLOAD_COPY_SERIALIZERS = {"work.cpp", "rma.cpp"}
 
 
 def check_payload_copy(relpath, code, raw):

@@ -56,7 +56,7 @@ V1_SEEDED = [
      "std::memcpy(dst, msg.payload.data(), msg.payload.size());",
      "auto bytes = std::move(msg.payload);"),
     ("payload-copy", os.path.join("src", "runtime", "x.cpp"),
-     "ByteBuf staged = msg->payload;",
+     "std::vector<std::uint8_t> staged = msg->payload;",
      "comm.send(rank, dest, tag, std::move(msg->payload));"),
     ("unchecked-io", os.path.join("src", "io", "journal.cpp"),
      "std::fwrite(frame.data(), 1, frame.size(), file_);",
