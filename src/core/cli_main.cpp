@@ -15,7 +15,8 @@
 // Long options also accept --name=value syntax (e.g. --trace=run.json).
 //
 // Exit codes: 0 success; 1 non-manifold mesh; 2 usage error (including a
-// --poly file that cannot be read); 3 partial or failed parallel run
+// --poly file that cannot be read or whose segments are not all on simple
+// closed loops); 3 partial or failed parallel run
 // (watchdog/lost results); 4 pipeline exception; 5 an --audit pass reported
 // defects; 6 run stopped by a budget or signal (valid partial mesh written;
 // resumable with --resume when checkpointing); 7 mesh exceeded 32-bit index
@@ -32,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "aero.hpp"
@@ -102,50 +104,67 @@ constexpr AppFlag kAppFlags[] = {
 }
 
 AirfoilConfig load_poly_geometry(const std::string& path) {
-  // A .poly whose segments form closed loops; each loop becomes an element.
+  // A .poly whose segments form simple closed loops, each loop an element.
+  // Anything else -- a vertex on other than two segments (a branch, an
+  // open end, a stray vertex), a loop of fewer than three vertices, a
+  // self-intersecting loop -- is an input error, never a silently dropped
+  // segment.
   const Pslg pslg = read_poly(path);
+  const auto reject = [&path](const std::string& what) {
+    throw std::runtime_error(path + ": " + what);
+  };
+  std::vector<std::vector<std::uint32_t>> adjacency(pslg.points.size());
+  for (const auto& [a, b] : pslg.segments) {
+    adjacency[a].push_back(b);
+    adjacency[b].push_back(a);
+  }
+  for (std::uint32_t v = 0; v < adjacency.size(); ++v) {
+    if (adjacency[v].size() != 2) {
+      reject("vertex " + std::to_string(v) + " is on " +
+             std::to_string(adjacency[v].size()) +
+             " segment(s); every vertex must be on exactly one closed loop");
+    }
+  }
+  // Every vertex has two segments, so the walks below trace disjoint
+  // cycles; a cycle of fewer than three vertices (a repeated or
+  // zero-length segment) leaves its segments uncovered.
   AirfoilConfig config;
   std::vector<bool> used(pslg.points.size(), false);
-  // Walk loops: follow segments from an unused start point.
-  std::vector<std::vector<std::uint32_t>> adjacency(pslg.points.size());
-  for (std::size_t s = 0; s < pslg.segments.size(); ++s) {
-    adjacency[pslg.segments[s].first].push_back(pslg.segments[s].second);
-    adjacency[pslg.segments[s].second].push_back(pslg.segments[s].first);
-  }
+  std::size_t covered = 0;
   for (std::uint32_t start = 0; start < pslg.points.size(); ++start) {
-    if (used[start] || adjacency[start].size() != 2) continue;
+    if (used[start]) continue;
     std::vector<Vec2> loop;
     std::uint32_t prev = start, cur = start;
     do {
       used[cur] = true;
       loop.push_back(pslg.points[cur]);
       const auto& nb = adjacency[cur];
-      const std::uint32_t next = (nb[0] == prev && nb.size() > 1) ? nb[1] : nb[0];
+      const std::uint32_t next = nb[0] == prev ? nb[1] : nb[0];
       prev = cur;
       cur = next;
     } while (cur != start && !used[cur]);
-    if (loop.size() >= 3) {
-      // Ensure CCW orientation.
-      double area2 = 0.0;
-      for (std::size_t i = 0; i < loop.size(); ++i) {
-        area2 += loop[i].cross(loop[(i + 1) % loop.size()]);
-      }
-      if (area2 < 0.0) std::reverse(loop.begin(), loop.end());
-      AirfoilElement e;
-      e.name = "element" + std::to_string(config.elements.size());
-      e.surface = std::move(loop);
-      if (!polygon_is_simple(e.surface)) {
-        std::fprintf(stderr, "error: loop %zu in %s self-intersects\n",
-                     config.elements.size(), path.c_str());
-        std::exit(1);
-      }
-      config.elements.push_back(std::move(e));
+    if (loop.size() < 3) continue;
+    covered += loop.size();
+    // Ensure CCW orientation.
+    double area2 = 0.0;
+    for (std::size_t i = 0; i < loop.size(); ++i) {
+      area2 += loop[i].cross(loop[(i + 1) % loop.size()]);
     }
+    if (area2 < 0.0) std::reverse(loop.begin(), loop.end());
+    AirfoilElement e;
+    e.name = "element" + std::to_string(config.elements.size());
+    e.surface = std::move(loop);
+    if (!polygon_is_simple(e.surface)) {
+      reject("loop " + std::to_string(config.elements.size()) +
+             " self-intersects");
+    }
+    config.elements.push_back(std::move(e));
   }
-  if (config.elements.empty()) {
-    std::fprintf(stderr, "error: no closed loops in %s\n", path.c_str());
-    std::exit(1);
+  if (covered != pslg.segments.size()) {
+    reject(std::to_string(pslg.segments.size() - covered) +
+           " segment(s) not on a closed loop of three or more vertices");
   }
+  if (config.elements.empty()) reject("no closed loops");
   const BBox2 box = config.bbox();
   config.chord = std::max(box.width(), box.height());
   return config;

@@ -23,27 +23,36 @@ std::size_t MergedMesh::probe(Vec2 p) const {
 }
 
 void MergedMesh::rehash(std::size_t new_cap) {
-  slots_.assign(new_cap, 0);
-  for (std::size_t id = 0; id < points_.size(); ++id) {
-    slots_[probe(points_[id])] = static_cast<std::uint32_t>(id) + 1;
+  // Re-insert from the old table, not from points_: only the interned
+  // points belong in it.
+  std::vector<std::uint32_t> old(new_cap, 0);
+  old.swap(slots_);
+  for (const std::uint32_t s : old) {
+    if (s != 0) slots_[probe(points_[s - 1])] = s;
   }
+}
+
+std::uint32_t MergedMesh::push_point(Vec2 p) {
+  if (points_.size() >= capacity_limit_) {
+    throw MeshTooLargeError("merged mesh exceeds 32-bit point capacity");
+  }
+  const auto id = static_cast<std::uint32_t>(points_.size());
+  points_.push_back(p);
+  return id;
 }
 
 std::uint32_t MergedMesh::add_point(Vec2 p) {
   // Keep load factor <= 1/2 (linear probing stays short). Rehashing only
   // changes lookup cost: ids are insertion-ordered, so mesh identity is
   // independent of the table layout.
-  if (2 * (points_.size() + 1) > slots_.size()) {
+  if (2 * (interned_ + 1) > slots_.size()) {
     rehash(slots_.empty() ? 1024 : slots_.size() * 2);
   }
   const std::size_t i = probe(p);
   if (slots_[i] != 0) return slots_[i] - 1;
-  if (points_.size() >= capacity_limit_) {
-    throw MeshTooLargeError("merged mesh exceeds 32-bit point capacity");
-  }
-  const auto id = static_cast<std::uint32_t>(points_.size());
-  points_.push_back(p);
+  const std::uint32_t id = push_point(p);
   slots_[i] = id + 1;
+  ++interned_;
   return id;
 }
 
@@ -66,11 +75,13 @@ void MergedMesh::add_triangle(Vec2 a, Vec2 b, Vec2 c) {
 }
 
 void MergedMesh::append(const MeshView& piece) {
-  // One probe per piece point, not one per triangle corner (~6x more per
-  // interior vertex): interner hashing dominated merge time in profiles.
+  // At most one probe per piece point, not one per triangle corner (~6x
+  // more per interior vertex), and none for a point the piece does not
+  // weld: interner hashing dominated merge time in profiles.
   std::vector<std::uint32_t> ids(piece.point_count());
   for (std::uint32_t i = 0; i < ids.size(); ++i) {
-    ids[i] = add_point(piece.point(i));
+    ids[i] = piece.welds(i) ? add_point(piece.point(i))
+                            : push_point(piece.point(i));
   }
   piece.for_each_tri_ids([&](const std::array<std::uint32_t, 3>& t) {
     push_tri({ids[t[0]], ids[t[1]], ids[t[2]]});

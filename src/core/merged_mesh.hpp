@@ -25,16 +25,20 @@ struct MeshTooLargeError : std::length_error {
 /// subdomain triangulations and inviscid subdomain refinements). Vertices
 /// are welded by exact coordinate identity -- the whole pipeline guarantees
 /// shared border points are bit-identical on both sides, which is what makes
-/// the distributed pieces conform without any stitching pass.
+/// the distributed pieces conform without any stitching pass. Only points
+/// that can be shared are welded: a refined piece's Steiner points off its
+/// constrained edges are unique to it (MeshView::welds), so append() gives
+/// each the next id without touching the interner. The ids, and so the
+/// output bytes, are the ones welding every point would give.
 ///
 /// Storage is structure-of-arrays over chunked grow-only arenas: point
 /// coordinates, triangle connectivity, and the dead flags each live in their
 /// own ChunkedArray, and the coordinate interner is a flat open-addressing
-/// table of 32-bit ids (no per-node heap allocations). Growing never
-/// relocates elements, so peak RSS tracks the live mesh instead of the
-/// transient doubling of vector reallocation. Read access goes through the
-/// index-based accessors below or the aero::MeshView facade; the arenas
-/// themselves are private.
+/// table of 32-bit ids (no per-node heap allocations) over the welded points
+/// only. Growing never relocates elements, so peak RSS tracks the live mesh
+/// instead of the transient doubling of vector reallocation. Read access
+/// goes through the index-based accessors below or the aero::MeshView
+/// facade; the arenas themselves are private.
 class MergedMesh {
  public:
   /// Intern a point, returning its global index.
@@ -44,13 +48,17 @@ class MergedMesh {
   /// Append one triangle by coordinates (CCW).
   void add_triangle(Vec2 a, Vec2 b, Vec2 c);
 
-  /// Append a mesh piece: intern each of its points once, in order, then
+  /// Append a mesh piece: give each of its points an id once, in order --
+  /// interning the ones the piece welds, numbering the rest next -- then
   /// append its live triangles with their ids mapped. This is the one merge
   /// loop every pipeline driver feeds; for a piece built by make_piece it
-  /// assigns exactly the ids per-corner interning would.
+  /// assigns exactly the ids per-corner interning would, provided the pieces
+  /// meet only along constrained edges or at input vertices (see
+  /// make_piece(const DelaunayMesh&)).
   void append(const MeshView& piece);
 
-  /// Append every live inside triangle of a kernel mesh (its make_piece).
+  /// Append every live inside triangle of a kernel mesh (its make_piece),
+  /// under the same proviso.
   void append(const DelaunayMesh& mesh);
 
   /// Remove the triangles enclosed by `barrier` edges around each `seed`
@@ -71,8 +79,11 @@ class MergedMesh {
 
   /// Live triangles (records minus carved ones).
   std::size_t triangle_count() const { return tris_.size() - dead_count_; }
-  /// Interned points, in insertion order. Ids are dense in [0, point_count).
+  /// Points, in insertion order. Ids are dense in [0, point_count).
   std::size_t point_count() const { return points_.size(); }
+  /// Points held by the interner: those add_point() or a welding append()
+  /// gave an id. The rest are pieces' unshared Steiner points.
+  std::size_t interned_point_count() const { return interned_; }
   /// All triangle records including carved ones; check alive().
   std::size_t record_count() const { return tris_.size(); }
   const std::array<std::uint32_t, 3>& tri(std::size_t t) const {
@@ -81,7 +92,10 @@ class MergedMesh {
   bool alive(std::size_t t) const { return !dead_[t]; }
   Vec2 point(std::uint32_t i) const { return points_[i]; }
 
-  /// Interner lookup: the id of an exact-coordinate match, or kNoPoint.
+  /// Interner lookup: the id of an exact-coordinate match among the
+  /// interned points, or kNoPoint. A piece's unshared Steiner points are
+  /// not found; the callers below run on the boundary-layer mesh, where
+  /// every point is interned.
   static constexpr std::uint32_t kNoPoint = 0xffffffffu;
   std::uint32_t find_point(Vec2 p) const;
 
@@ -153,6 +167,9 @@ class MergedMesh {
   /// empty slot where p would go. Requires a non-empty table.
   std::size_t probe(Vec2 p) const;
   void rehash(std::size_t new_cap);
+  /// Append p as a new point without interning it.
+  /// Throws MeshTooLargeError past 32-bit point capacity.
+  std::uint32_t push_point(Vec2 p);
   /// Append one triangle record of interned ids.
   /// Throws MeshTooLargeError past 32-bit triangle capacity.
   void push_tri(const std::array<std::uint32_t, 3>& ids);
@@ -163,10 +180,11 @@ class MergedMesh {
   std::size_t dead_count_ = 0;
 
   // Flat open-addressing interner: each slot holds id+1 (0 = empty).
-  // Power-of-two capacity, linear probing, rehash at 1/2 load. Ids are
-  // assigned in insertion order, so the table layout never affects mesh
-  // identity -- only lookup cost.
+  // Power-of-two capacity, linear probing, rehash at 1/2 load of the
+  // interned points. Ids are assigned in insertion order, so the table
+  // layout never affects mesh identity -- only lookup cost.
   std::vector<std::uint32_t> slots_;
+  std::size_t interned_ = 0;
   std::uint64_t capacity_limit_ = 0xffffffffull;
 };
 

@@ -1,5 +1,6 @@
 #include "core/mesh_view.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace aero {
@@ -84,18 +85,32 @@ MeshView MeshView::concat(const std::vector<MeshView>& pieces) {
 }
 
 MeshView make_piece(const DelaunayMesh& mesh) {
+  // Another piece can hold only an input vertex or a point on a constrained
+  // edge (a border, split or not); every other Steiner point lies inside
+  // this piece alone.
+  std::vector<std::uint8_t> shared(mesh.point_count(), 0);
+  std::fill_n(shared.begin(), mesh.input_point_count(), 1);
   std::vector<std::array<std::uint32_t, 3>> tris;
   mesh.for_each_triangle([&](TriIndex t) {
     const MeshTri mt = mesh.tri(t);
     if (!mt.inside) return;
+    for (int e = 0; e < 3; ++e) {
+      if (!mt.constrained[e]) continue;
+      shared[static_cast<std::size_t>(mt.v[(e + 1) % 3])] = 1;
+      shared[static_cast<std::size_t>(mt.v[(e + 2) % 3])] = 1;
+    }
     tris.push_back({static_cast<std::uint32_t>(mt.v[0]),
                     static_cast<std::uint32_t>(mt.v[1]),
                     static_cast<std::uint32_t>(mt.v[2])});
   });
-  return make_piece(mesh.point_count(), std::move(tris),
-                    [&](std::uint32_t v) {
-                      return mesh.point(static_cast<VertIndex>(v));
-                    });
+  std::vector<std::uint8_t> welds;
+  MeshView piece = make_piece(mesh.point_count(), std::move(tris),
+                              [&](std::uint32_t v) {
+                                welds.push_back(shared[v]);
+                                return mesh.point(static_cast<VertIndex>(v));
+                              });
+  piece.own_welds_ = std::move(welds);
+  return piece;
 }
 
 std::vector<std::uint8_t> MeshView::serialize(

@@ -64,7 +64,9 @@ inline MeshBlobStatus mesh_blob_status(const std::vector<std::uint8_t>& blob,
 /// must outlive the view) or owning (parsed from a serialized blob or built
 /// from arrays, in which case every record is live). An owning view is also
 /// the one form a subdomain leaf's output takes: a mesh *piece*, points plus
-/// id triples, merged into the global mesh by MergedMesh::append.
+/// id triples, merged into the global mesh by MergedMesh::append. A piece
+/// from make_piece(const DelaunayMesh&) also carries weld flags (welds()),
+/// which the serialized form does not.
 class MeshView {
  public:
   MeshView() = default;
@@ -107,6 +109,13 @@ class MeshView {
   Vec2 point(std::uint32_t i) const {
     return mesh_ ? mesh_->point(i) : own_pts_[i];
   }
+  /// Whether MergedMesh::append must weld point i, i.e. whether another
+  /// piece may hold the same coordinates. True for every point unless the
+  /// view came from make_piece(const DelaunayMesh&), which welds the
+  /// kernel's input vertices and the points on its constrained edges only.
+  bool welds(std::uint32_t i) const {
+    return own_welds_.empty() || own_welds_[i] != 0;
+  }
 
   /// Visit each live triangle's vertex ids, in record order.
   template <typename Fn>
@@ -138,15 +147,20 @@ class MeshView {
   }
 
  private:
+  friend MeshView make_piece(const DelaunayMesh& mesh);
+
   const MergedMesh* mesh_ = nullptr;  ///< borrowed backing (nullptr = owning)
   std::vector<Vec2> own_pts_;
   std::vector<std::array<std::uint32_t, 3>> own_tris_;
+  /// Per-point weld flags (see welds()); empty means every point welds.
+  std::vector<std::uint8_t> own_welds_;
 };
 
 /// Build a piece from triangles given as ids into a larger source point set
-/// (`point_of(id)` yields the coordinates). Only the points the triangles use
-/// are kept, renumbered in order of first use, so appending the piece interns
-/// points in exactly the order that interning each triangle's corners in turn
+/// (`point_of(id)` yields the coordinates, and is called once per kept point,
+/// in the kept order). Only the points the triangles use are kept,
+/// renumbered in order of first use, so appending the piece interns points
+/// in exactly the order that interning each triangle's corners in turn
 /// would. This is what keeps a mesh byte-identical whichever walker appends
 /// the pieces.
 template <typename PointOf>
@@ -169,7 +183,12 @@ MeshView make_piece(std::size_t source_points,
   return MeshView(std::move(points), std::move(tris));
 }
 
-/// The piece of a kernel mesh's inside triangles, in triangle order.
+/// The piece of a kernel mesh's inside triangles, in triangle order. Only
+/// its input vertices and the endpoints of its constrained edges weld
+/// (welds()): every other Steiner point lies inside the piece, so it cannot
+/// coincide with a point of another piece as long as pieces meet only along
+/// constrained edges or at input vertices -- which is how the pipeline's
+/// subdomains, and any decomposition whose borders are segments, meet.
 MeshView make_piece(const DelaunayMesh& mesh);
 
 }  // namespace aero

@@ -7,10 +7,10 @@
 
 namespace aero {
 
-/// Grow-only chunked arena: the SoA storage primitive of the mesh core.
+/// Chunked arena: the SoA storage primitive of the mesh core.
 ///
 /// Elements live in fixed-size chunks (1 << kChunkPow each) that are never
-/// moved or freed once allocated, which buys two things over std::vector:
+/// moved once allocated, which buys two things over std::vector:
 ///
 ///  * no reallocation doubling -- peak RSS tracks the element count instead
 ///    of spiking to old+new during a copy-grow (the dominant transient in
@@ -19,11 +19,13 @@ namespace aero {
 ///    Bowyer-Watson inner loops can hold references while appending fresh
 ///    triangles.
 ///
-/// The index arithmetic is two shifts and a load; the chunk-pointer table is
-/// small enough to stay cached (one entry per 2^kChunkPow elements). This
-/// extends the PR 5 cavity-arena discipline (grow, clear, never free) to the
-/// mesh arrays themselves. Not thread-safe; the mesh has one writer at a
-/// time (the refiner's threaded scan only reads).
+/// Growth and clear() keep every chunk (the cavity-arena discipline: grow,
+/// clear, reuse); only truncate() frees the chunks past a new, smaller
+/// size, which is how the refiner's slot compaction returns memory. The
+/// index arithmetic is two shifts and a load; the chunk-pointer table is
+/// small enough to stay cached (one entry per 2^kChunkPow elements). Not
+/// thread-safe; the mesh has one writer at a time (the refiner's threaded
+/// scan only reads).
 template <typename T, unsigned kChunkPow = 14>
 class ChunkedArray {
  public:
@@ -72,6 +74,13 @@ class ChunkedArray {
   /// the same mesh touches the allocator only past the previous high-water
   /// mark).
   void clear() { size_ = 0; }
+
+  /// Drop the elements past `n` (n <= size()) and free the chunks they
+  /// leave empty. References to the dropped elements dangle.
+  void truncate(std::size_t n) {
+    size_ = n;
+    chunks_.resize(chunk_count());
+  }
 
   void resize(std::size_t n, const T& fill = T{}) {
     while (size_ < n) emplace_back() = fill;

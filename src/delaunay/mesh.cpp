@@ -47,6 +47,47 @@ void DelaunayMesh::kill_tri(TriIndex t) {
   assert(!tri_dead(t));
   if (!tri_ghost(t)) --live_finite_;
   set_flag(t, kDead, true);
+  ++dead_slots_;
+}
+
+void DelaunayMesh::compact(std::vector<TriIndex>& held) {
+  AERO_TRACE_SPAN("delaunay", "compact_slots");
+  const std::size_t slots = tri_v_.size();
+  // Old id -> new id; dead slots map to kNoTri. The map is monotone, so
+  // moving each live slot down in ascending order never overwrites a slot
+  // that is still to be read.
+  std::vector<TriIndex> remap(slots, kNoTri);
+  std::size_t live = 0;
+  for (std::size_t t = 0; t < slots; ++t) {
+    if ((tri_flags_[t] & kDead) != 0) continue;
+    remap[t] = static_cast<TriIndex>(live);
+    if (live != t) {
+      tri_v_[live] = tri_v_[t];
+      tri_n_[live] = tri_n_[t];
+      tri_flags_[live] = tri_flags_[t];
+    }
+    ++live;
+  }
+  const auto renumber = [&remap](TriIndex& t) {
+    if (t != kNoTri) t = remap[static_cast<std::size_t>(t)];
+  };
+  for (std::size_t t = 0; t < live; ++t) {
+    for (TriIndex& nb : tri_n_[t]) renumber(nb);
+  }
+  for (std::size_t v = 0; v < vert_tri_.size(); ++v) renumber(vert_tri_[v]);
+  // A dead walk hint becomes kNoTri, which locate() treats the same way:
+  // it falls back to the lowest live triangle, the same one as before.
+  renumber(last_tri_);
+  std::size_t kept = 0;
+  for (const TriIndex t : held) {
+    const TriIndex n = remap[static_cast<std::size_t>(t)];
+    if (n != kNoTri) held[kept++] = n;
+  }
+  held.resize(kept);
+  tri_v_.truncate(live);
+  tri_n_.truncate(live);
+  tri_flags_.truncate(live);
+  dead_slots_ = 0;
 }
 
 void DelaunayMesh::link(TriIndex t, int edge, TriIndex u, int uedge) {
@@ -87,6 +128,7 @@ bool DelaunayMesh::triangulate(const std::vector<Vec2>& pts,
   tri_flags_.clear();
   vert_tri_.clear();
   live_finite_ = 0;
+  dead_slots_ = 0;
   last_tri_ = kNoTri;
   rand_state_ = 0x9d2c5680u;
 

@@ -70,13 +70,16 @@ struct LocateResult {
 /// insertion: a point outside the current hull simply has ghost triangles in
 /// its cavity.
 ///
-/// Storage is structure-of-arrays over chunked grow-only arenas
+/// Storage is structure-of-arrays over chunked arenas
 /// (delaunay/chunked.hpp): vertex coordinates, triangle connectivity
 /// (`tri_v_`), adjacency (`tri_n_`), and a packed per-triangle flag byte
-/// each live in their own arena. 25 bytes per triangle slot (vs 32 for the
-/// old array-of-structs record) and no reallocation spikes. Triangle ids
-/// are never reused within one triangulation run, so the id sequence — and
-/// through it the merged-mesh output — is identical to the old layout.
+/// each live in their own arena. Each triangle slot costs 25 bytes, plus 4
+/// per vertex for `vert_tri_`, with no reallocation spikes. An insertion
+/// never reuses a dead slot: new triangles are appended, so slot order is
+/// birth order. Ruppert refinement would leave three or four dead slots per
+/// live one, so the refiner calls compact() once dead slots outnumber live
+/// ones: live slots slide down in order, which renumbers triangle ids but
+/// keeps their order, and with it every result that reads slot order.
 class DelaunayMesh {
  public:
   DelaunayMesh() = default;
@@ -90,8 +93,8 @@ class DelaunayMesh {
   Vec2 point(VertIndex v) const { return points_[static_cast<size_t>(v)]; }
 
   /// Total triangle slots including dead and ghost entries; callers filter
-  /// with is_live_finite(). Index stability: triangle ids are never reused
-  /// within one triangulation run.
+  /// with is_live_finite(). Ids are stable until the refiner compacts the
+  /// slots (see the class comment); a compaction keeps their order.
   std::size_t triangle_slots() const { return tri_v_.size(); }
 
   /// Value snapshot of triangle t (dead and ghost slots included).
@@ -188,9 +191,10 @@ class DelaunayMesh {
   /// (tests only; O(n)).
   bool check_delaunay() const;
 
-  /// Test-only backdoor (defined in tests/test_audit.cpp): the audit tests
-  /// corrupt triangles and points through it to prove audit_delaunay()
-  /// detects each defect class. Never used by library code.
+  /// Test-only backdoor (defined in tests/delaunay_access.hpp): the audit
+  /// tests corrupt triangles and points through it to prove
+  /// audit_delaunay() detects each defect class, and the compaction tests
+  /// call compact() directly. Never used by library code.
   struct TestAccess;
 
  private:
@@ -249,6 +253,15 @@ class DelaunayMesh {
   TriIndex new_tri();
   std::uint32_t next_rand() const;
   void kill_tri(TriIndex t);
+  std::size_t dead_slots() const { return dead_slots_; }
+
+  /// Drop the dead triangle slots: live slots slide down and keep their
+  /// relative order, adjacency, vertex incidences and the walk hint are
+  /// renumbered, and the arena chunks past the new size are freed. `held`
+  /// holds triangle ids the caller keeps across the call (the refiner's
+  /// queue); they are renumbered too, and dead ones are dropped. Any other
+  /// triangle id or reference taken before the call is invalid after it.
+  void compact(std::vector<TriIndex>& held);
   void link(TriIndex t, int edge, TriIndex u, int uedge);
   void set_vert_tri(TriIndex t);
 
@@ -278,6 +291,7 @@ class DelaunayMesh {
   ChunkedArray<std::uint8_t> tri_flags_;
   ChunkedArray<TriIndex> vert_tri_;
   std::size_t live_finite_ = 0;
+  std::size_t dead_slots_ = 0;
   std::size_t input_point_count_ = 0;
   /// Walk-hint cache. Shared-state discipline under the refiner's threaded
   /// initial scan (RefineOptions::threads): the scan workers only read

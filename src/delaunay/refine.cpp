@@ -12,6 +12,14 @@
 
 namespace aero {
 
+namespace {
+
+/// The refiner compacts only once this many triangle slots are dead (one
+/// arena chunk): below that a pass frees at most one chunk per array.
+constexpr std::size_t kCompactFloor = std::size_t{1} << 14;
+
+}  // namespace
+
 RuppertRefiner::RuppertRefiner(DelaunayMesh& mesh, RefineOptions options)
     : mesh_(mesh), opts_(std::move(options)) {}
 
@@ -261,6 +269,15 @@ RefineStats RuppertRefiner::refine() {
     if (stats_.steiner_points >= opts_.max_steiner) {
       stats_.hit_steiner_cap = true;
       break;
+    }
+    // Between iterations the queue is the only holder of triangle ids, so
+    // the mesh may drop its dead slots here. Compacting only once they
+    // outnumber the live ones keeps the passes amortised O(1) per insertion.
+    const std::size_t dead = mesh_.dead_slots();
+    if (dead >= kCompactFloor && dead > mesh_.triangle_slots() - dead) {
+      mesh_.compact(tri_queue_);
+      // The queue may have held only dead ids: check the loop again.
+      if (seg_queue_.empty() && tri_queue_.empty()) continue;
     }
 
     // Encroached segments take priority (Ruppert's ordering).

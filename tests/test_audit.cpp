@@ -2,7 +2,7 @@
 // structures -- including full seed-pipeline meshes -- and (b) report each
 // seeded defect class with a precise, located message. The corruption tests
 // reach the private internals through the TestAccess backdoors declared in
-// quadedge.hpp / mesh.hpp.
+// quadedge.hpp / mesh.hpp (DelaunayMesh's is defined in delaunay_access.hpp).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "core/mesh_generator.hpp"
 #include "delaunay/mesh.hpp"  // aerolint: allow(public-api)
 #include "delaunay/quadedge.hpp"  // aerolint: allow(public-api)
+#include "delaunay_access.hpp"  // aerolint: allow(public-api)
 #include "geom/predicates.hpp"  // aerolint: allow(public-api)
 #include "runtime/parallel_driver.hpp"
 
@@ -23,25 +24,12 @@ namespace aero {
 
 // White-box corruption fixture: the auditors are tested by mutating kernel
 // storage directly, which is exactly what the mesh-internal-access rule
-// forbids everywhere else.
+// forbids everywhere else. DelaunayMesh's backdoor is in delaunay_access.hpp.
 struct QuadEdge::TestAccess {
   static ChunkedArray<QuadEdge::EdgeRef>& next(QuadEdge& q) {  // aerolint: allow(mesh-internal-access)
     return q.next_;
   }
   static ChunkedArray<VertIndex>& data(QuadEdge& q) { return q.data_; }  // aerolint: allow(mesh-internal-access)
-};
-
-struct DelaunayMesh::TestAccess {
-  static ChunkedArray<std::array<VertIndex, 3>>& tri_v(DelaunayMesh& m) {  // aerolint: allow(mesh-internal-access)
-    return m.tri_v_;
-  }
-  static ChunkedArray<std::array<TriIndex, 3>>& tri_n(DelaunayMesh& m) {  // aerolint: allow(mesh-internal-access)
-    return m.tri_n_;
-  }
-  static ChunkedArray<Vec2>& points(DelaunayMesh& m) { return m.points_; }  // aerolint: allow(mesh-internal-access)
-  static void flip(DelaunayMesh& m, TriIndex t, int edge) {
-    m.flip_edge(t, edge);
-  }
 };
 
 namespace {

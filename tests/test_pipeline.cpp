@@ -163,6 +163,8 @@ TEST_F(PipelineTest, HighLiftWorkIsPinned) {
   EXPECT_EQ(r.inviscid_triangles, 1235808u);
   EXPECT_EQ(r.mesh.triangle_count(), 1273725u);
   EXPECT_EQ(r.mesh.point_count(), 638335u);
+  // Every point but the inviscid Steiner points: those never weld.
+  EXPECT_EQ(r.mesh.interned_point_count(), 31274u);
   const std::vector<std::uint8_t> blob = MeshView(r.mesh).serialize();
   EXPECT_EQ(crc32(blob.data(), blob.size()), 0x6a93fb64u);
 }
