@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/mesh_view.hpp"
 #include "geom/predicates.hpp"
@@ -11,6 +10,95 @@
 #include "geom/triangle_quality.hpp"
 
 namespace aero {
+
+namespace {
+
+/// An edge's two point ids in one word, the smaller one high.
+std::uint64_t edge_key(std::uint32_t a, std::uint32_t b) {
+  return a < b ? std::uint64_t{a} << 32 | b : std::uint64_t{b} << 32 | a;
+}
+
+/// The live triangles on each edge of a MergedMesh, for the flood and the
+/// edge queries: an open-addressing table whose 16-byte slot holds the
+/// edge key and the first and last live triangle on the edge in record
+/// order (kNone second for a boundary edge; an edge with three or more
+/// keeps the first and the last). Capacity is a power of two sized from
+/// the live triangle count for a load of at most 1/2, with linear probing;
+/// one mark byte per slot lives in a separate array.
+class EdgeIndex {
+ public:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::size_t kMissing = ~std::size_t{0};
+
+  explicit EdgeIndex(const MergedMesh& mesh) {
+    // A triangulation has about 3/2 edges per triangle.
+    std::size_t cap = 16;
+    while (cap < 3 * mesh.triangle_count()) cap *= 2;
+    slots_.assign(cap, Slot{});
+    for (std::size_t t = 0; t < mesh.record_count(); ++t) {
+      if (!mesh.alive(t)) continue;
+      const std::array<std::uint32_t, 3>& v = mesh.tri(t);
+      for (int i = 0; i < 3; ++i) {
+        add(edge_key(v[i], v[(i + 1) % 3]), static_cast<std::uint32_t>(t));
+      }
+    }
+    marks_.assign(slots_.size(), 0);
+  }
+
+  /// Slot of the edge with this key, or kMissing.
+  std::size_t find(std::uint64_t key) const {
+    const std::size_t i = probe(key);
+    return slots_[i].key == key ? i : kMissing;
+  }
+  /// The first and last triangle on the edge in `slot`.
+  const std::array<std::uint32_t, 2>& tris(std::size_t slot) const {
+    return slots_[slot].tri;
+  }
+  /// Mark edge (a, b) if it is in the index.
+  void mark(std::uint32_t a, std::uint32_t b) {
+    const std::size_t i = find(edge_key(a, b));
+    if (i != kMissing) marks_[i] = 1;
+  }
+  bool marked(std::size_t slot) const { return marks_[slot] != 0; }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::array<std::uint32_t, 2> tri{kNone, kNone};
+  };
+
+  std::size_t probe(std::uint64_t key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
+    while (slots_[i].key != kEmpty && slots_[i].key != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  void add(std::uint64_t key, std::uint32_t t) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      // More edges than 3/2 per triangle (a mesh of loose triangles).
+      std::vector<Slot> old(2 * slots_.size());
+      old.swap(slots_);
+      for (const Slot& s : old) {
+        if (s.key != kEmpty) slots_[probe(s.key)] = s;
+      }
+    }
+    Slot& s = slots_[probe(key)];
+    if (s.key == kEmpty) {
+      s = Slot{key, {t, kNone}};
+      ++size_;
+    } else {
+      s.tri[1] = t;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint8_t> marks_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace
 
 std::size_t MergedMesh::probe(Vec2 p) const {
   const std::size_t mask = slots_.size() - 1;
@@ -93,61 +181,52 @@ void MergedMesh::append(const DelaunayMesh& mesh) { append(make_piece(mesh)); }
 std::vector<std::uint8_t> MergedMesh::flood_from(
     const std::vector<std::pair<Vec2, Vec2>>& barrier,
     const std::vector<Vec2>& seeds) const {
-  // Edge -> incident live triangles.
-  std::unordered_map<EdgeKey, std::array<std::int64_t, 2>, EdgeKeyHash> edges;
-  edges.reserve(tris_.size() * 2);
-  for (std::size_t t = 0; t < tris_.size(); ++t) {
-    if (dead_[t]) continue;
-    for (int i = 0; i < 3; ++i) {
-      const EdgeKey k = edge_key(tris_[t][i], tris_[t][(i + 1) % 3]);
-      auto [it, fresh] = edges.try_emplace(k, std::array<std::int64_t, 2>{-1, -1});
-      auto& slots = it->second;
-      (slots[0] < 0 ? slots[0] : slots[1]) = static_cast<std::int64_t>(t);
-    }
-  }
-
-  std::unordered_set<EdgeKey, EdgeKeyHash> blocked;
-  blocked.reserve(barrier.size() * 2);
+  EdgeIndex edges(*this);
   for (const auto& [a, b] : barrier) {
     const std::uint32_t ia = find_point(a);
     const std::uint32_t ib = find_point(b);
     if (ia == kNoPoint || ib == kNoPoint) continue;
-    blocked.insert(edge_key(ia, ib));
+    edges.mark(ia, ib);
   }
 
   std::vector<std::uint8_t> reached(tris_.size(), 0);
+  std::vector<std::uint32_t> stack;
   for (const Vec2 seed : seeds) {
-    // Locate a live triangle containing the seed (linear scan: seeds are
-    // few and this is a one-shot assembly pass).
-    std::int64_t start = -1;
-    for (std::size_t t = 0; t < tris_.size() && start < 0; ++t) {
+    // The lowest live unreached triangle containing the seed (linear scan:
+    // seeds are few and this is a one-shot assembly pass). A triangle
+    // holds the seed only if its bounding box does, a cheaper exact test.
+    std::size_t start = tris_.size();
+    for (std::size_t t = 0; t < tris_.size(); ++t) {
       if (dead_[t] || reached[t]) continue;
       const Vec2 a = points_[tris_[t][0]];
       const Vec2 b = points_[tris_[t][1]];
       const Vec2 c = points_[tris_[t][2]];
+      if (seed.x < std::min({a.x, b.x, c.x}) ||
+          seed.x > std::max({a.x, b.x, c.x}) ||
+          seed.y < std::min({a.y, b.y, c.y}) ||
+          seed.y > std::max({a.y, b.y, c.y})) {
+        continue;
+      }
       if (orient2d(a, b, seed) >= 0.0 && orient2d(b, c, seed) >= 0.0 &&
           orient2d(c, a, seed) >= 0.0) {
-        start = static_cast<std::int64_t>(t);
+        start = t;
+        break;
       }
     }
-    if (start < 0) continue;
+    if (start == tris_.size()) continue;
 
-    std::vector<std::int64_t> stack{start};
-    reached[static_cast<std::size_t>(start)] = 1;
+    stack.assign(1, static_cast<std::uint32_t>(start));
+    reached[start] = 1;
     while (!stack.empty()) {
-      const auto t = static_cast<std::size_t>(stack.back());
+      const std::uint32_t t = stack.back();
       stack.pop_back();
       for (int i = 0; i < 3; ++i) {
-        const EdgeKey k = edge_key(tris_[t][i], tris_[t][(i + 1) % 3]);
-        if (blocked.contains(k)) continue;
-        const auto it = edges.find(k);
-        if (it == edges.end()) continue;
-        for (const std::int64_t nb : it->second) {
-          if (nb < 0 || dead_[static_cast<std::size_t>(nb)] ||
-              reached[static_cast<std::size_t>(nb)]) {
-            continue;
-          }
-          reached[static_cast<std::size_t>(nb)] = 1;
+        const std::size_t e =
+            edges.find(edge_key(tris_[t][i], tris_[t][(i + 1) % 3]));
+        if (edges.marked(e)) continue;
+        for (const std::uint32_t nb : edges.tris(e)) {
+          if (nb == EdgeIndex::kNone || dead_[nb] || reached[nb]) continue;
+          reached[nb] = 1;
           stack.push_back(nb);
         }
       }
@@ -180,21 +259,12 @@ void MergedMesh::keep_only(const std::vector<std::pair<Vec2, Vec2>>& barrier,
 
 std::vector<std::pair<Vec2, Vec2>> MergedMesh::boundary_edges(
     const std::vector<std::pair<Vec2, Vec2>>& exclude) const {
-  std::unordered_map<EdgeKey, int, EdgeKeyHash> counts;
-  counts.reserve(tris_.size() * 2);
-  for (std::size_t t = 0; t < tris_.size(); ++t) {
-    if (dead_[t]) continue;
-    for (int i = 0; i < 3; ++i) {
-      ++counts[edge_key(tris_[t][i], tris_[t][(i + 1) % 3])];
-    }
-  }
-  std::unordered_set<EdgeKey, EdgeKeyHash> excluded;
-  excluded.reserve(exclude.size() * 2);
+  EdgeIndex edges(*this);
   for (const auto& [a, b] : exclude) {
     const std::uint32_t ia = find_point(a);
     const std::uint32_t ib = find_point(b);
     if (ia == kNoPoint || ib == kNoPoint) continue;
-    excluded.insert(edge_key(ia, ib));
+    edges.mark(ia, ib);
   }
   // Emit in triangle-scan order, not hash order: every boundary edge has
   // exactly one live triangle, so the scan yields each edge exactly once and
@@ -203,9 +273,11 @@ std::vector<std::pair<Vec2, Vec2>> MergedMesh::boundary_edges(
   for (std::size_t t = 0; t < tris_.size(); ++t) {
     if (dead_[t]) continue;
     for (int i = 0; i < 3; ++i) {
-      const EdgeKey k = edge_key(tris_[t][i], tris_[t][(i + 1) % 3]);
-      if (counts.at(k) != 1 || excluded.contains(k)) continue;
-      out.emplace_back(points_[k.first], points_[k.second]);
+      const std::uint64_t k = edge_key(tris_[t][i], tris_[t][(i + 1) % 3]);
+      const std::size_t e = edges.find(k);
+      if (edges.tris(e)[1] != EdgeIndex::kNone || edges.marked(e)) continue;
+      out.emplace_back(points_[static_cast<std::uint32_t>(k >> 32)],
+                       points_[static_cast<std::uint32_t>(k)]);
     }
   }
   return out;
@@ -213,20 +285,13 @@ std::vector<std::pair<Vec2, Vec2>> MergedMesh::boundary_edges(
 
 std::vector<std::pair<Vec2, Vec2>> MergedMesh::missing_edges(
     const std::vector<std::pair<Vec2, Vec2>>& candidates) const {
-  std::unordered_set<EdgeKey, EdgeKeyHash> present;
-  present.reserve(tris_.size() * 2);
-  for (std::size_t t = 0; t < tris_.size(); ++t) {
-    if (dead_[t]) continue;
-    for (int i = 0; i < 3; ++i) {
-      present.insert(edge_key(tris_[t][i], tris_[t][(i + 1) % 3]));
-    }
-  }
+  const EdgeIndex edges(*this);
   std::vector<std::pair<Vec2, Vec2>> out;
   for (const auto& [a, b] : candidates) {
     const std::uint32_t ia = find_point(a);
     const std::uint32_t ib = find_point(b);
     if (ia == kNoPoint || ib == kNoPoint ||
-        !present.contains(edge_key(ia, ib))) {
+        edges.find(edge_key(ia, ib)) == EdgeIndex::kMissing) {
       out.emplace_back(a, b);
     }
   }
@@ -235,7 +300,8 @@ std::vector<std::pair<Vec2, Vec2>> MergedMesh::missing_edges(
 
 MergedMesh::Conformity MergedMesh::check_conformity() const {
   Conformity c;
-  std::unordered_map<EdgeKey, int, EdgeKeyHash> counts;
+  // Exact edge multiplicities, which the edge index does not keep.
+  std::unordered_map<std::uint64_t, int> counts;
   counts.reserve(tris_.size() * 2);
   for (std::size_t t = 0; t < tris_.size(); ++t) {
     if (dead_[t]) continue;

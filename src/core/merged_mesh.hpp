@@ -124,7 +124,7 @@ class MergedMesh {
       const std::vector<std::pair<Vec2, Vec2>>& exclude) const;
 
   /// Subset of `candidates` that are NOT edges of any live triangle (either
-  /// endpoint missing or edge count zero).
+  /// endpoint missing or edge count zero), in candidate order.
   std::vector<std::pair<Vec2, Vec2>> missing_edges(
       const std::vector<std::pair<Vec2, Vec2>>& candidates) const;
 
@@ -146,16 +146,6 @@ class MergedMesh {
 
  private:
   friend class MeshView;  ///< chunk-level access for zero-copy serialization
-
-  using EdgeKey = std::pair<std::uint32_t, std::uint32_t>;
-  struct EdgeKeyHash {
-    std::size_t operator()(const EdgeKey& e) const {
-      return (static_cast<std::size_t>(e.first) << 32) ^ e.second;
-    }
-  };
-  static EdgeKey edge_key(std::uint32_t a, std::uint32_t b) {
-    return a < b ? EdgeKey{a, b} : EdgeKey{b, a};
-  }
 
   /// Flood fill from seed-containing triangles across non-barrier edges;
   /// returns a reached flag per triangle record.

@@ -16,74 +16,107 @@ namespace aero {
 
 namespace {
 
-/// Exact removal of every live triangle that crosses or lies inside an
-/// airfoil element. Needed because concave surface stretches (coves) are
-/// legitimately non-Delaunay -- their surface edges can be absent from the
-/// cloud triangulation, letting the ring flood leak into the body interior.
-/// ADT-accelerated: candidate surface segments per triangle via extent-box
-/// query; deep-inside tests by crossing parity along a rightward ray using
-/// the same tree.
-void remove_body_overlaps(MergedMesh& mesh,
-                          const std::vector<std::vector<Vec2>>& surfaces) {
-  for (const auto& surface : surfaces) {
-    BBox2 box;
-    for (const Vec2 p : surface) box.expand(p);
-    AlternatingDigitalTree adt(box.inflated(1e-9 + 1e-9 * box.width()));
-    std::vector<Segment> segs(surface.size());
-    for (std::size_t i = 0; i < surface.size(); ++i) {
-      segs[i] = Segment{surface[i], surface[(i + 1) % surface.size()]};
-      adt.insert(segs[i].bbox(), static_cast<std::uint32_t>(i));
-    }
+/// Exact removal of every live triangle that crosses or lies inside the
+/// airfoil element bounded by `surface`. Needed because concave surface
+/// stretches (coves) are legitimately non-Delaunay -- their surface edges
+/// can be absent from the cloud triangulation, letting the ring flood leak
+/// into the body interior. ADT-accelerated: candidate surface segments per
+/// triangle via extent-box query; deep-inside tests by crossing parity
+/// along a rightward ray using the same tree.
+void remove_body_overlaps(MergedMesh& mesh, const std::vector<Vec2>& surface) {
+  BBox2 box;
+  for (const Vec2 p : surface) box.expand(p);
+  AlternatingDigitalTree adt(box.inflated(1e-9 + 1e-9 * box.width()));
+  std::vector<Segment> segs(surface.size());
+  for (std::size_t i = 0; i < surface.size(); ++i) {
+    segs[i] = Segment{surface[i], surface[(i + 1) % surface.size()]};
+    adt.insert(segs[i].bbox(), static_cast<std::uint32_t>(i));
+  }
 
-    // Crossing-parity point-in-element using only ADT candidates.
-    const auto inside_element = [&](Vec2 p) {
-      if (!box.contains(p)) return false;
-      bool inside = false;
-      const BBox2 ray_box{{p.x, p.y}, {box.hi.x, p.y}};
-      adt.for_each_overlap(ray_box, [&](std::uint32_t i) {
-        const Vec2 a = segs[i].a;
-        const Vec2 b = segs[i].b;
-        if ((a.y <= p.y) != (b.y <= p.y)) {
-          const double o = orient2d(a, b, p);
-          if (b.y > a.y ? o > 0.0 : o < 0.0) inside = !inside;
-        }
-      });
-      return inside;
-    };
-
-    for (std::size_t t = 0; t < mesh.record_count(); ++t) {
-      if (!mesh.alive(t)) continue;
-      const std::array<std::uint32_t, 3>& tri = mesh.tri(t);
-      const Vec2 a = mesh.point(tri[0]);
-      const Vec2 b = mesh.point(tri[1]);
-      const Vec2 c = mesh.point(tri[2]);
-      BBox2 tb;
-      tb.expand(a);
-      tb.expand(b);
-      tb.expand(c);
-      if (!tb.intersects(box)) continue;
-
-      bool overlap = false;
-      adt.for_each_overlap(tb, [&](std::uint32_t i) {
-        if (overlap) return;
-        for (const Segment e : {Segment{a, b}, Segment{b, c}, Segment{c, a}}) {
-          // Only PROPER crossings mean the triangle straddles the surface.
-          // Shared or collinear edges are the normal surface-adjacent case;
-          // the centroid test below decides which side they are on.
-          const IntersectResult hit = intersect(e, segs[i]);
-          if (hit && hit.kind == IntersectKind::kProper) {
-            overlap = true;
-            return;
-          }
-        }
-      });
-      if (!overlap) {
-        const Vec2 centroid{(a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0};
-        overlap = inside_element(centroid);
+  // Crossing-parity point-in-element using only ADT candidates.
+  const auto inside_element = [&](Vec2 p) {
+    if (!box.contains(p)) return false;
+    bool inside = false;
+    const BBox2 ray_box{{p.x, p.y}, {box.hi.x, p.y}};
+    adt.for_each_overlap(ray_box, [&](std::uint32_t i) {
+      const Vec2 a = segs[i].a;
+      const Vec2 b = segs[i].b;
+      if ((a.y <= p.y) != (b.y <= p.y)) {
+        const double o = orient2d(a, b, p);
+        if (b.y > a.y ? o > 0.0 : o < 0.0) inside = !inside;
       }
-      if (overlap) mesh.kill(t);
+    });
+    return inside;
+  };
+
+  for (std::size_t t = 0; t < mesh.record_count(); ++t) {
+    if (!mesh.alive(t)) continue;
+    const std::array<std::uint32_t, 3>& tri = mesh.tri(t);
+    const Vec2 a = mesh.point(tri[0]);
+    const Vec2 b = mesh.point(tri[1]);
+    const Vec2 c = mesh.point(tri[2]);
+    BBox2 tb;
+    tb.expand(a);
+    tb.expand(b);
+    tb.expand(c);
+    if (!tb.intersects(box)) continue;
+
+    bool overlap = false;
+    adt.for_each_overlap(tb, [&](std::uint32_t i) {
+      if (overlap) return;
+      for (const Segment e : {Segment{a, b}, Segment{b, c}, Segment{c, a}}) {
+        // Only PROPER crossings mean the triangle straddles the surface.
+        // Shared or collinear edges are the normal surface-adjacent case;
+        // the centroid test below decides which side they are on.
+        const IntersectResult hit = intersect(e, segs[i]);
+        if (hit && hit.kind == IntersectKind::kProper) {
+          overlap = true;
+          return;
+        }
+      }
+    });
+    if (!overlap) {
+      const Vec2 centroid{(a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0};
+      overlap = inside_element(centroid);
+    }
+    if (overlap) mesh.kill(t);
+  }
+}
+
+/// Per element, whether the ring flood can reach into it: true if one of
+/// its surface edges is not an edge of the mesh, or a ring seed lies in or
+/// on it. Otherwise its surface is a closed loop of mesh edges, which no
+/// triangle crosses and the flood, blocked there, cannot pass.
+std::vector<std::uint8_t> leaky_elements(const MergedMesh& mesh,
+                                         const BoundaryLayer& bl) {
+  std::vector<std::pair<Vec2, Vec2>> edges;
+  for (const auto& surface : bl.surfaces) {
+    for (std::size_t i = 0; i < surface.size(); ++i) {
+      edges.emplace_back(surface[i], surface[(i + 1) % surface.size()]);
     }
   }
+  // missing_edges keeps candidate order, so one pass attributes each
+  // missing edge to its element.
+  const std::vector<std::pair<Vec2, Vec2>> missing = mesh.missing_edges(edges);
+  std::vector<std::uint8_t> leaky(bl.surfaces.size(), 0);
+  std::size_t k = 0;
+  std::size_t m = 0;
+  for (std::size_t e = 0; e < bl.surfaces.size(); ++e) {
+    const std::vector<Vec2>& surface = bl.surfaces[e];
+    for (std::size_t i = 0; i < surface.size(); ++i, ++k) {
+      if (m < missing.size() && missing[m] == edges[k]) {
+        leaky[e] = 1;
+        ++m;
+      }
+    }
+    BBox2 box;
+    for (const Vec2 p : surface) box.expand(p);
+    for (const Vec2 seed : bl.ring_seeds) {
+      if (leaky[e]) break;
+      if (box.contains(seed) && point_in_polygon(seed, surface)) leaky[e] = 1;
+    }
+  }
+  return leaky;
 }
 
 /// All surface and outer-border edges of a boundary layer, as the barrier
@@ -144,10 +177,14 @@ void triangulate_boundary_layer(const BoundaryLayer& bl,
 }
 
 void restrict_to_ring(MergedMesh& mesh, const BoundaryLayer& bl) {
+  const std::vector<std::uint8_t> leaky = leaky_elements(mesh, bl);
   mesh.keep_only(ring_barrier(bl), bl.ring_seeds);
   // Safety pass: concave (cove) surface edges can be legitimately absent
   // from the Delaunay triangulation, letting the flood leak into a body.
-  remove_body_overlaps(mesh, bl.surfaces);
+  // An element without such an edge keeps the flood out by itself.
+  for (std::size_t e = 0; e < bl.surfaces.size(); ++e) {
+    if (leaky[e]) remove_body_overlaps(mesh, bl.surfaces[e]);
+  }
 }
 
 InviscidDomain make_inviscid_domain(const BoundaryLayer& bl,

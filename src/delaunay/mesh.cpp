@@ -293,13 +293,23 @@ LocateResult DelaunayMesh::locate(Vec2 p, TriIndex hint) const {
 VertIndex DelaunayMesh::insert_into_cavity(Vec2 p, const TriIndex* seeds,
                                            std::size_t nseeds,
                                            bool respect_constraints) {
-  const auto vi = static_cast<VertIndex>(points_.size());
-  points_.push_back(p);
-  vert_tri_.push_back(kNoTri);
+  find_cavity(p, seeds, nseeds, respect_constraints);
+  return fill_cavity(p);
+}
 
+void DelaunayMesh::fit_cavity_marks() {
   if (in_cavity_mark_.size() < tri_v_.size()) {
     in_cavity_mark_.resize(tri_v_.size() + tri_v_.size() / 2 + 8, 0);
   }
+}
+
+void DelaunayMesh::drop_cavity() {
+  for (const TriIndex t : cavity_) in_cavity_mark_[static_cast<size_t>(t)] = 0;
+}
+
+void DelaunayMesh::find_cavity(Vec2 p, const TriIndex* seeds,
+                               std::size_t nseeds, bool respect_constraints) {
+  fit_cavity_marks();
   cavity_.clear();
   cavity_stack_.clear();
   for (std::size_t s = 0; s < nseeds; ++s) {
@@ -322,6 +332,12 @@ VertIndex DelaunayMesh::insert_into_cavity(Vec2 p, const TriIndex* seeds,
       }
     }
   }
+}
+
+VertIndex DelaunayMesh::fill_cavity(Vec2 p) {
+  const auto vi = static_cast<VertIndex>(points_.size());
+  points_.push_back(p);
+  vert_tri_.push_back(kNoTri);
 
   // Collect the directed boundary cycle of the cavity. Edge i of cavity
   // triangle t runs (v[i+1], v[i+2]) with the cavity on its left.

@@ -269,12 +269,31 @@ class DelaunayMesh {
   /// ghosts). Exact.
   bool in_cavity(TriIndex t, Vec2 p) const;
 
-  /// Bowyer-Watson cavity insertion. `seeds` are the (at most two) triangles
-  /// already known to be in the cavity. Returns the new vertex. All scratch
-  /// state lives in the cavity arena below: steady-state insertion performs
-  /// no heap allocation beyond the amortized growth of the mesh arrays.
+  /// Bowyer-Watson cavity insertion: find_cavity() from `seeds`, the (at
+  /// most two) triangles already known to be in the cavity, then
+  /// fill_cavity(). Returns the new vertex. All scratch state lives in the
+  /// cavity arena below: steady-state insertion performs no heap allocation
+  /// beyond the amortized growth of the mesh arrays.
   VertIndex insert_into_cavity(Vec2 p, const TriIndex* seeds,
                                std::size_t nseeds, bool respect_constraints);
+
+  /// The cavity search: from the seeds, take in every neighbour that
+  /// in_cavity(p) accepts, never across a constrained edge when
+  /// `respect_constraints`. Each member is marked in in_cavity_mark_ and
+  /// listed in cavity_ in the order it leaves the search stack.
+  void find_cavity(Vec2 p, const TriIndex* seeds, std::size_t nseeds,
+                   bool respect_constraints);
+
+  /// The retriangulation: a new vertex at p replaces the marked cavity
+  /// listed in cavity_ by its star, whose triangles are born in cavity_
+  /// order. Clears the marks; returns the new vertex.
+  VertIndex fill_cavity(Vec2 p);
+
+  /// Grow in_cavity_mark_ to cover every triangle slot (before a search).
+  void fit_cavity_marks();
+  /// Clear the marks of the cavity listed in cavity_ (a search whose
+  /// cavity is not filled).
+  void drop_cavity();
 
   /// Replace diagonal (a, b) of the strictly convex quad around edge `edge`
   /// of t with the opposite diagonal. Both incident triangles must be finite.

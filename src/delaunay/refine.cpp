@@ -1,5 +1,6 @@
 #include "delaunay/refine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <thread>
@@ -24,10 +25,10 @@ RuppertRefiner::RuppertRefiner(DelaunayMesh& mesh, RefineOptions options)
     : mesh_(mesh), opts_(std::move(options)) {}
 
 bool RuppertRefiner::triangle_is_bad(TriIndex t) const {
-  const MeshTri& mt = mesh_.tri(t);
-  const Vec2 a = mesh_.point(mt.v[0]);
-  const Vec2 b = mesh_.point(mt.v[1]);
-  const Vec2 c = mesh_.point(mt.v[2]);
+  const auto& v = mesh_.tv(t);
+  const Vec2 a = mesh_.point(v[0]);
+  const Vec2 b = mesh_.point(v[1]);
+  const Vec2 c = mesh_.point(v[2]);
   const double area = signed_area(a, b, c);
   if (area > opts_.max_area) return true;
   if (opts_.sizing) {
@@ -42,40 +43,38 @@ bool RuppertRefiner::triangle_is_bad(TriIndex t) const {
                  lca = distance2(c, a);
     VertIndex e0, e1;
     if (lab <= lbc && lab <= lca) {
-      e0 = mt.v[0];
-      e1 = mt.v[1];
+      e0 = v[0];
+      e1 = v[1];
     } else if (lbc <= lca) {
-      e0 = mt.v[1];
-      e1 = mt.v[2];
+      e0 = v[1];
+      e1 = v[2];
     } else {
-      e0 = mt.v[2];
-      e1 = mt.v[0];
+      e0 = v[2];
+      e1 = v[0];
     }
     const VertIndex o0 = shell_origin_[static_cast<size_t>(e0)];
     const VertIndex o1 = shell_origin_[static_cast<size_t>(e1)];
-    if (o0 != kGhost && o0 == o1) {
-      return false;  // counted by the caller as seditious when it pops
-    }
-    return true;
+    return o0 == kGhost || o0 != o1;  // same cluster: seditious, not bad
   }
   return false;
 }
 
 bool RuppertRefiner::edge_is_encroached(TriIndex t, int slot) const {
-  const MeshTri& mt = mesh_.tri(t);
-  const Vec2 a = mesh_.point(mt.v[(slot + 1) % 3]);
-  const Vec2 b = mesh_.point(mt.v[(slot + 2) % 3]);
+  const auto& v = mesh_.tv(t);
+  const Vec2 a = mesh_.point(v[(slot + 1) % 3]);
+  const Vec2 b = mesh_.point(v[(slot + 2) % 3]);
   // A vertex encroaches iff it lies strictly inside the diametral circle,
   // i.e. it sees the segment under an angle > 90 degrees.
-  const auto apex_encroaches = [&](VertIndex v) {
-    if (v == kGhost) return false;
-    const Vec2 p = mesh_.point(v);
+  const auto apex_encroaches = [&](VertIndex apex) {
+    if (apex == kGhost) return false;
+    const Vec2 p = mesh_.point(apex);
     return (a - p).dot(b - p) < 0.0;
   };
-  if (apex_encroaches(mt.v[slot])) return true;
-  const MeshTri& mn = mesh_.tri(mt.n[slot]);
+  if (apex_encroaches(v[slot])) return true;
+  const TriIndex s = mesh_.tn(t)[slot];
+  const auto& sn = mesh_.tn(s);
   for (int i = 0; i < 3; ++i) {
-    if (mn.n[i] == t) return apex_encroaches(mn.v[i]);
+    if (sn[i] == t) return apex_encroaches(mesh_.tv(s)[i]);
   }
   return false;
 }
@@ -85,13 +84,13 @@ RuppertRefiner::Walk RuppertRefiner::walk_to(Vec2 c, TriIndex t) const {
   int came_from = -1;
   const std::size_t guard = 4 * mesh_.triangle_slots() + 16;
   for (std::size_t step = 0; step < guard; ++step) {
-    const MeshTri& mt = mesh_.tri(t);
+    const auto& v = mesh_.tv(t);
     int cross = -1;
     int zeros = 0;
     for (int i = 0; i < 3; ++i) {
       if (i == came_from) continue;
-      const double o = orient2d_fast(mesh_.point(mt.v[(i + 1) % 3]),
-                                     mesh_.point(mt.v[(i + 2) % 3]), c);
+      const double o = orient2d_fast(mesh_.point(v[(i + 1) % 3]),
+                                     mesh_.point(v[(i + 2) % 3]), c);
       if (o < 0.0) {
         cross = i;
         break;
@@ -103,15 +102,14 @@ RuppertRefiner::Walk RuppertRefiner::walk_to(Vec2 c, TriIndex t) const {
       w.on_vertex = zeros >= 2;
       return w;
     }
-    if (mt.constrained[cross]) {
+    if (mesh_.tri_constrained(t, cross)) {
       w.blocked = true;
       w.tri = t;
       w.edge = cross;
       return w;
     }
-    const TriIndex nb = mt.n[cross];
-    const MeshTri& mn = mesh_.tri(nb);
-    if (mn.is_ghost()) {
+    const TriIndex nb = mesh_.tn(t)[cross];
+    if (mesh_.tri_ghost(nb)) {
       // Circumcenter beyond an unconstrained hull edge; treat like a
       // blocking edge so the caller skips this triangle.
       w.blocked = true;
@@ -120,8 +118,9 @@ RuppertRefiner::Walk RuppertRefiner::walk_to(Vec2 c, TriIndex t) const {
       return w;
     }
     came_from = -1;
+    const auto& nn = mesh_.tn(nb);
     for (int i = 0; i < 3; ++i) {
-      if (mn.n[i] == t) came_from = i;
+      if (nn[i] == t) came_from = i;
     }
     t = nb;
   }
@@ -131,7 +130,7 @@ RuppertRefiner::Walk RuppertRefiner::walk_to(Vec2 c, TriIndex t) const {
 
 VertIndex RuppertRefiner::split_segment(VertIndex u, VertIndex w) {
   const auto [t, slot] = mesh_.find_edge(u, w);
-  if (t == kNoTri || !mesh_.tri(t).constrained[slot]) return kGhost;
+  if (t == kNoTri || !mesh_.tri_constrained(t, slot)) return kGhost;
 
   const Vec2 pu = mesh_.point(u);
   const Vec2 pw = mesh_.point(w);
@@ -180,19 +179,57 @@ void RuppertRefiner::scan_star(VertIndex v) {
   if (start == kNoTri) return;
   TriIndex t = start;
   do {
-    const MeshTri& mt = mesh_.tri(t);
-    const int k = mt.index_of(v);
+    const int k = mesh_.index_of(t, v);
     assert(k >= 0);
-    if (!mt.is_ghost() && mt.inside) {
+    if (!mesh_.tri_ghost(t) && mesh_.tri_inside(t)) {
       if (triangle_is_bad(t)) tri_queue_.push_back(t);
+      const auto& tv = mesh_.tv(t);
       for (int i = 0; i < 3; ++i) {
-        if (mt.constrained[i] && edge_is_encroached(t, i)) {
-          seg_queue_.emplace_back(mt.v[(i + 1) % 3], mt.v[(i + 2) % 3]);
+        if (mesh_.tri_constrained(t, i) && edge_is_encroached(t, i)) {
+          seg_queue_.emplace_back(tv[(i + 1) % 3], tv[(i + 2) % 3]);
         }
       }
     }
-    t = mt.n[(k + 1) % 3];
+    t = mesh_.tn(t)[(k + 1) % 3];
   } while (t != start);
+}
+
+bool RuppertRefiner::cavity_encroaches(Vec2 c, TriIndex seed) {
+  // The mesh's cavity arena, filled in discovery order: the star
+  // retriangulation wants the reverse (see refine()).
+  std::vector<TriIndex>& cavity = mesh_.cavity_;
+  std::vector<TriIndex>& stack = mesh_.cavity_stack_;
+  mesh_.fit_cavity_marks();
+  std::vector<std::uint8_t>& mark = mesh_.in_cavity_mark_;
+  cavity.assign(1, seed);
+  stack.assign(1, seed);
+  mark[static_cast<std::size_t>(seed)] = 1;
+  encroached_.clear();
+  while (!stack.empty()) {
+    const TriIndex t = stack.back();
+    stack.pop_back();
+    const auto& v = mesh_.tv(t);
+    const auto& n = mesh_.tn(t);
+    for (int i = 0; i < 3; ++i) {
+      if (mesh_.tri_constrained(t, i)) {
+        const VertIndex a = v[(i + 1) % 3];
+        const VertIndex b = v[(i + 2) % 3];
+        if ((mesh_.point(a) - c).dot(mesh_.point(b) - c) < 0.0) {
+          encroached_.emplace_back(a, b);
+        }
+        continue;
+      }
+      const TriIndex nb = n[i];
+      if (nb == kNoTri || mark[static_cast<std::size_t>(nb)]) continue;
+      ++stats_.cavity_tests;
+      if (mesh_.in_cavity(nb, c)) {
+        mark[static_cast<std::size_t>(nb)] = 1;
+        cavity.push_back(nb);
+        stack.push_back(nb);
+      }
+    }
+  }
+  return !encroached_.empty();
 }
 
 RefineStats RuppertRefiner::refine() {
@@ -211,12 +248,12 @@ RefineStats RuppertRefiner::refine() {
   const auto scan_one = [this](TriIndex t, std::vector<TriIndex>& tris,
                                std::vector<std::pair<VertIndex, VertIndex>>&
                                    segs) {
-    const MeshTri& mt = mesh_.tri(t);
-    if (!mt.inside) return;
+    if (!mesh_.tri_inside(t)) return;
     if (triangle_is_bad(t)) tris.push_back(t);
+    const auto& v = mesh_.tv(t);
     for (int i = 0; i < 3; ++i) {
-      if (mt.constrained[i] && edge_is_encroached(t, i)) {
-        segs.emplace_back(mt.v[(i + 1) % 3], mt.v[(i + 2) % 3]);
+      if (mesh_.tri_constrained(t, i) && edge_is_encroached(t, i)) {
+        segs.emplace_back(v[(i + 1) % 3], v[(i + 2) % 3]);
       }
     }
   };
@@ -285,7 +322,7 @@ RefineStats RuppertRefiner::refine() {
       const auto [u, w] = seg_queue_.back();
       seg_queue_.pop_back();
       const auto [t, slot] = mesh_.find_edge(u, w);
-      if (t == kNoTri || !mesh_.tri(t).constrained[slot]) continue;
+      if (t == kNoTri || !mesh_.tri_constrained(t, slot)) continue;
       if (!edge_is_encroached(t, slot)) continue;
       split_segment(u, w);
       continue;
@@ -293,23 +330,25 @@ RefineStats RuppertRefiner::refine() {
 
     const TriIndex t = tri_queue_.back();
     tri_queue_.pop_back();
-    if (!mesh_.is_live_finite(t) || !mesh_.tri(t).inside) continue;
-    if (!triangle_is_bad(t)) continue;
+    // Only live, inside, bad triangles are queued, and a live triangle
+    // never changes: insertions append new slots and kill old ones, and a
+    // compaction keeps the survivors as they were. Badness reads only the
+    // corners, the sizing and shell origins fixed at each vertex's birth,
+    // so the one thing to re-check is whether an insertion killed it.
+    if (mesh_.tri_dead(t)) continue;
 
-    const MeshTri& mt = mesh_.tri(t);
-    const Vec2 a = mesh_.point(mt.v[0]);
-    const Vec2 b = mesh_.point(mt.v[1]);
-    const Vec2 c3 = mesh_.point(mt.v[2]);
-    const Vec2 cc = circumcenter(a, b, c3);
+    const auto& v = mesh_.tv(t);
+    const Vec2 cc = circumcenter(mesh_.point(v[0]), mesh_.point(v[1]),
+                                 mesh_.point(v[2]));
 
     const Walk walk = walk_to(cc, t);
     if (walk.blocked) {
       // The circumcenter lies beyond a constrained edge: that edge is
       // (deemed) encroached; split it and revisit the triangle.
-      const MeshTri& bt = mesh_.tri(walk.tri);
-      if (bt.constrained[walk.edge]) {
-        const VertIndex u = bt.v[(walk.edge + 1) % 3];
-        const VertIndex w = bt.v[(walk.edge + 2) % 3];
+      if (mesh_.tri_constrained(walk.tri, walk.edge)) {
+        const auto& bv = mesh_.tv(walk.tri);
+        const VertIndex u = bv[(walk.edge + 1) % 3];
+        const VertIndex w = bv[(walk.edge + 2) % 3];
         if (split_segment(u, w) != kGhost) tri_queue_.push_back(t);
       }
       continue;
@@ -318,46 +357,11 @@ RefineStats RuppertRefiner::refine() {
 
     // Ruppert pre-check: would the circumcenter encroach any constrained
     // segment on its cavity boundary? If so, split those segments instead.
-    // (Simulated Bowyer-Watson cavity walk, read-only; the scratch vectors
-    // are members so the steady state allocates nothing.)
-    encroached_.clear();
-    {
-      precheck_stack_.clear();
-      precheck_visited_.clear();
-      precheck_stack_.push_back(walk.tri);
-      precheck_visited_.push_back(walk.tri);
-      auto seen = [this](TriIndex x) {
-        for (const TriIndex v : precheck_visited_) {
-          if (v == x) return true;
-        }
-        return false;
-      };
-      while (!precheck_stack_.empty()) {
-        const TriIndex ct = precheck_stack_.back();
-        precheck_stack_.pop_back();
-        const MeshTri& cm = mesh_.tri(ct);
-        for (int i = 0; i < 3; ++i) {
-          const TriIndex nb = cm.n[i];
-          if (cm.constrained[i]) {
-            const Vec2 ea = mesh_.point(cm.v[(i + 1) % 3]);
-            const Vec2 eb = mesh_.point(cm.v[(i + 2) % 3]);
-            if ((ea - cc).dot(eb - cc) < 0.0) {
-              encroached_.emplace_back(cm.v[(i + 1) % 3], cm.v[(i + 2) % 3]);
-            }
-            continue;
-          }
-          if (nb == kNoTri || seen(nb)) continue;
-          const MeshTri& nm = mesh_.tri(nb);
-          if (nm.is_ghost()) continue;
-          if (incircle_fast(mesh_.point(nm.v[0]), mesh_.point(nm.v[1]),
-                            mesh_.point(nm.v[2]), cc) > 0.0) {
-            precheck_visited_.push_back(nb);
-            precheck_stack_.push_back(nb);
-          }
-        }
-      }
-    }
-    if (!encroached_.empty()) {
+    // A circumcenter on a constrained edge of walk.tri encroaches it, so
+    // past this point it lies inside walk.tri or on one of its
+    // unconstrained edges, and the searched cavity is the one to fill.
+    if (cavity_encroaches(cc, walk.tri)) {
+      mesh_.drop_cavity();
       bool any = false;
       for (const auto& [u, w] : encroached_) {
         if (split_segment(u, w) != kGhost) any = true;
@@ -366,33 +370,14 @@ RefineStats RuppertRefiner::refine() {
       continue;
     }
 
-    // walk_to() already located the triangle containing cc, and the pre-check
-    // BFS above already computed the (constraint-respecting) cavity in
-    // precheck_visited_ -- every triangle whose circumdisk strictly contains
-    // cc, reached from walk.tri. Hand the whole set to the cavity insertion
-    // as pre-verified seeds so the incircle tests are not repeated. A short
-    // hinted locate still runs first to catch the degenerate placements
-    // (circumcenter exactly on a vertex or a constrained edge) that need the
-    // duplicate-merging / constraint-splitting paths.
-    VertIndex vi;
-    const LocateResult loc = mesh_.locate(cc, walk.tri);
-    if (loc.kind == LocateResult::Kind::kOnVertex) {
-      vi = mesh_.tri(loc.tri).v[loc.edge];
-    } else if (loc.kind == LocateResult::Kind::kOutside ||
-               (loc.kind == LocateResult::Kind::kOnEdge &&
-                mesh_.tri(loc.tri).constrained[loc.edge])) {
-      vi = mesh_.insert_point(cc, /*respect_constraints=*/true, walk.tri);
-    } else {
-      vi = mesh_.insert_into_cavity(cc, precheck_visited_.data(),
-                                    precheck_visited_.size(),
-                                    /*respect_constraints=*/true);
-    }
-    if (static_cast<std::size_t>(vi) + 1 == mesh_.point_count()) {
-      shell_origin_.resize(mesh_.point_count(), kGhost);
-      ++stats_.circumcenters;
-      ++stats_.steiner_points;
-      scan_star(vi);
-    }
+    // Born in the order a search from every cavity triangle as a seed
+    // would pop them: the reverse of discovery.
+    std::reverse(mesh_.cavity_.begin(), mesh_.cavity_.end());
+    const VertIndex vi = mesh_.fill_cavity(cc);
+    shell_origin_.resize(mesh_.point_count(), kGhost);
+    ++stats_.circumcenters;
+    ++stats_.steiner_points;
+    scan_star(vi);
   }
 
   // Flush once per refinement run (not per point): registry lookups lock.
@@ -400,6 +385,7 @@ RefineStats RuppertRefiner::refine() {
   reg.counter("delaunay.refine_calls").add(1);
   reg.counter("delaunay.steiner_points").add(stats_.steiner_points);
   reg.counter("delaunay.circumcenters").add(stats_.circumcenters);
+  reg.counter("delaunay.cavity_tests").add(stats_.cavity_tests);
   if (stats_.hit_steiner_cap) reg.counter("delaunay.steiner_cap_hits").add(1);
   reg.histogram("delaunay.steiner_per_refine")
       .observe(static_cast<double>(stats_.steiner_points));

@@ -45,7 +45,9 @@ struct RefineStats {
   std::size_t steiner_points = 0;
   std::size_t segment_splits = 0;
   std::size_t circumcenters = 0;
-  std::size_t skipped_seditious = 0;
+  /// in_cavity() evaluations of the circumcenter cavity searches (one
+  /// search per circumcenter that reaches the encroachment pre-check).
+  std::size_t cavity_tests = 0;
   bool hit_steiner_cap = false;
 };
 
@@ -82,6 +84,12 @@ class RuppertRefiner {
     int edge = -1;
   };
   Walk walk_to(Vec2 c, TriIndex t) const;
+  /// The Bowyer-Watson cavity of circumcenter c, searched from triangle
+  /// `seed` (which contains c) into the mesh's cavity arena, in discovery
+  /// order. Doubles as Ruppert's pre-check: every constrained edge on the
+  /// cavity boundary that c encroaches is listed in encroached_. Returns
+  /// true if any is.
+  bool cavity_encroaches(Vec2 c, TriIndex seed);
 
   DelaunayMesh& mesh_;
   RefineOptions opts_;
@@ -89,10 +97,8 @@ class RuppertRefiner {
 
   std::vector<std::pair<VertIndex, VertIndex>> seg_queue_;
   std::vector<TriIndex> tri_queue_;
-  /// Scratch for the circumcenter encroachment pre-check (grow-only; cleared,
-  /// not freed, between circumcenter attempts).
-  std::vector<TriIndex> precheck_stack_;
-  std::vector<TriIndex> precheck_visited_;
+  /// Scratch for the pre-check (grow-only; cleared, not freed, between
+  /// circumcenter attempts).
   std::vector<std::pair<VertIndex, VertIndex>> encroached_;
   /// For each vertex, the input vertex its concentric shell is centered on
   /// (kGhost when not a shell split point). Used to detect "seditious" short

@@ -193,6 +193,9 @@ TEST(RefineCompaction, HighLiftLeafKeepsSlotsNearLiveAndBytesPinned) {
   EXPECT_EQ(live, 150412u);
   EXPECT_TRUE(r.mesh.check_topology());
   EXPECT_EQ(r.refine_stats.steiner_points, 73228u);
+  // One cavity search per circumcenter. Searching again to insert, as the
+  // refiner once did, made 993,575 tests here.
+  EXPECT_EQ(r.refine_stats.cavity_tests, 596288u);
 
   const MeshView piece = make_piece(r.mesh);
   EXPECT_EQ(piece.triangle_count(), 148433u);

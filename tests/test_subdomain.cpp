@@ -41,6 +41,14 @@ struct DecompParam {
   unsigned seed;
 };
 
+// Without this gtest prints the struct's raw bytes, the address of `shape`
+// and the padding included, into the listed test name, which then changes
+// from build to build.
+void PrintTo(const DecompParam& p, std::ostream* os) {
+  *os << '{' << p.shape << ',' << p.n << ',' << p.min_points << ','
+      << p.max_level << ',' << p.seed << '}';
+}
+
 class DecompositionSweep : public ::testing::TestWithParam<DecompParam> {
  protected:
   std::vector<Vec2> make_points() const {
